@@ -35,10 +35,11 @@ __all__ = ["ArrayLRU", "BACKENDS"]
 
 _EMPTY = -1
 
-#: Probe-core implementations: ``numpy`` (batched rounds / stack property)
-#: and ``compiled`` (numba sequential kernel; silently degrades to the
-#: numpy paths when numba is absent, see :mod:`repro.cache.compiled`).
-BACKENDS = ("numpy", "compiled")
+#: Walk cores: ``numpy`` (batched rounds / stack property, driven by the
+#: vector engine's free/sync walk) and ``native`` (the sequential C launch
+#: walk of :mod:`repro.cache.compiled`, built on first use; degrades to
+#: ``numpy`` when no compiler is reachable).
+BACKENDS = ("numpy", "native")
 
 
 class ArrayLRU:
@@ -46,7 +47,7 @@ class ArrayLRU:
 
     __slots__ = (
         "num_sets", "assoc", "tags", "stamp", "clock", "accesses", "hits",
-        "_jit",
+        "_want_native",
     )
 
     def __init__(self, num_sets: int, assoc: int, backend: str = "numpy"):
@@ -64,10 +65,9 @@ class ArrayLRU:
             raise SimulationError(
                 f"unknown ArrayLRU backend {backend!r}; choose from {BACKENDS}"
             )
-        # The compiled backend only engages when numba is importable; the
-        # pure-Python twin of the kernel would be far slower than the numpy
-        # paths, so absence degrades to numpy rather than to it.
-        self._jit = backend == "compiled" and _compiled.HAVE_NUMBA
+        # The native kernel is resolved (built or loaded) on first use, never
+        # here: constructing a cache must stay free of compiler calls.
+        self._want_native = backend == "native"
         self.num_sets = num_sets
         self.assoc = assoc
         self.tags = np.full((num_sets, assoc), _EMPTY, dtype=np.int64)
@@ -125,6 +125,36 @@ class ArrayLRU:
         """
         return self._probe(sectors, sets, insert)
 
+    def walk_native(
+        self,
+        order: np.ndarray,
+        sectors: np.ndarray,
+        req_sets: np.ndarray,
+        home_sets: np.ndarray,
+        local: np.ndarray,
+        req_ins: np.ndarray,
+        home_ins: np.ndarray,
+    ):
+        """Sequential requester/home walk in the native kernel.
+
+        Access ``i`` (visited in ``order``) probes ``req_sets[i]``, filling on
+        a miss per ``req_ins``; a miss of a remotely homed access (``~local``)
+        then probes ``home_sets[i]``, filling per ``home_ins``.  Returns
+        ``(req_hit, home_hit)`` aligned with ``sectors``.  Stats-neutral like
+        :meth:`replay_segments`; requires :attr:`backend` ``== "native"``.
+        """
+        kernel = _compiled.load() if self._want_native else None
+        if kernel is None:
+            raise SimulationError(
+                "walk_native needs ArrayLRU(backend='native') with the kernel "
+                f"loaded ({_compiled.fallback_reason() or 'this cache is numpy-backed'})"
+            )
+        req_hit, home_hit, self.clock = _compiled.walk(
+            kernel, self.tags, self.stamp, self.clock, order,
+            sectors, req_sets, home_sets, local, req_ins, home_ins,
+        )
+        return req_hit, home_hit
+
     # ------------------------------------------------------------------
     # Row snapshot/restore (speculative replay support)
     # ------------------------------------------------------------------
@@ -150,16 +180,6 @@ class ArrayLRU:
             return np.empty(0, dtype=bool)
         base = self.clock + 1
         self.clock += n
-        if self._jit:
-            # The sequential kernel is the reference semantics itself, so it
-            # serves every stream shape -- no round/stack/scalar routing.
-            return _compiled.probe_sequential(
-                self.tags, self.stamp,
-                np.ascontiguousarray(sectors, dtype=np.int64),
-                np.ascontiguousarray(sets, dtype=np.int64),
-                np.ascontiguousarray(insert, dtype=np.bool_),
-                base,
-            )
         tags, stamp = self.tags, self.stamp
         if n > 1:
             # One O(n) bincount finds the max per-set collision depth; the
@@ -459,8 +479,10 @@ class ArrayLRU:
     # ------------------------------------------------------------------
     @property
     def backend(self) -> str:
-        """The probe core actually in use (``compiled`` requires numba)."""
-        return "compiled" if self._jit else "numpy"
+        """The walk core in use; asking resolves (builds) the native kernel."""
+        if self._want_native and _compiled.load() is not None:
+            return "native"
+        return "numpy"
 
     @property
     def hit_rate(self) -> float:

@@ -1,90 +1,283 @@
-"""Optional numba-compiled probe kernel for :class:`ArrayLRU`.
+"""Native launch-walk kernel for :class:`~repro.cache.array_lru.ArrayLRU`.
 
-The vectorised engine's remaining hot inner loops -- the all-insert stack
-probe, the dense collision round loop and the segmented sync replay -- all
-bottom out in :meth:`ArrayLRU._probe`.  Their numpy formulations pay for
-parallelism with setup (argsorts, dense round layouts, reuse-window
-gathers); a JIT-compiled *sequential* loop needs none of that, and the
-sequential per-event LRU walk is the ground-truth semantics every numpy
-path is calibrated against, so the compiled kernel is bit-exact by
-construction rather than by re-derivation.
+The vector engine's numpy walk pays for parallelism with machinery: the
+free/sync split, a speculation predictor, repair rounds and a scalar dict
+fallback, all there only to avoid a sequential per-access loop.  A compiled
+sequential loop needs none of it -- and the sequential per-access LRU walk
+is the ground-truth semantics every numpy path is calibrated against, so the
+kernel is bit-exact by construction rather than by re-derivation.
 
-numba is an optional dependency: when it is absent (the default container),
-``HAVE_NUMBA`` is False and the ``compiled`` engine/backends silently fall
-back to the numpy paths -- same results, numpy speed.  The differential
-fuzzer runs legacy vs vector vs compiled on every program, so a numba
-version whose semantics drift is caught as an engine-parity divergence, not
-a silent corruption.  CI's ``compiled-smoke`` job installs numba and runs
-the fuzz smoke with the JIT active.
+The kernel is ~30 lines of C, built with the system C compiler on first use
+(never at import) and loaded through :mod:`ctypes`, so it adds no Python
+dependency.  The shared object is cached under a digest of source, flags and
+platform in this package's ``__pycache__`` (falling back to a per-user
+``0700`` temp directory), written through a same-directory temp file and
+``os.replace`` so concurrent fork workers race safely.  A cache directory or
+cached object is only used when it is a real directory/file (not a symlink)
+owned by this user or root and writable by nobody else; anything else is
+skipped, never loaded.  Without a reachable compiler -- or on any build or
+load failure -- :func:`load` returns None, the engine takes the numpy path
+(same results, numpy speed), and :func:`backend_status` /
+:func:`fallback_reason` say why.  :func:`forced_fallback` takes that path on
+purpose, so parity tests, the fuzzer and ``repro bench`` can exercise it on
+a host that has a compiler.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import stat
+import subprocess
+import sys
+import tempfile
+import threading
+from typing import Callable, Iterator, List, Optional, Tuple
+
 import numpy as np
 
-__all__ = ["HAVE_NUMBA", "backend_status", "probe_sequential"]
+from repro.errors import SimulationError
 
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit
+__all__ = ["backend_status", "fallback_reason", "forced_fallback", "load"]
 
-    HAVE_NUMBA = True
-except Exception:  # ImportError, or a broken numba install
-    njit = None
-    HAVE_NUMBA = False
+_SOURCE = r"""
+#include <stdint.h>
+
+/* Probe one set; a hit refreshes the way's stamp, a miss fills the
+   minimum-stamp way when `ins` (empty ways carry stamp 0 and fill first). */
+static uint8_t probe(int64_t *tags, int64_t *stamp, int64_t assoc,
+                     int64_t set, int64_t sec, uint8_t ins, int64_t now)
+{
+    int64_t *t = tags + set * assoc, *st = stamp + set * assoc;
+    int64_t victim = 0, vmin = st[0];
+    for (int64_t w = 0; w < assoc; w++) {
+        if (t[w] == sec) { st[w] = now; return 1; }
+        if (st[w] < vmin) { vmin = st[w]; victim = w; }
+    }
+    if (ins) { t[victim] = sec; st[victim] = now; }
+    return 0;
+}
+
+/* Walk accesses order[0..n) in sequence: probe the requester set, and on a
+   miss of a remotely homed access probe the home set too.  Outcomes land at
+   the access's own index (outputs arrive zeroed); returns the advanced
+   stamp clock. */
+int64_t walk(int64_t n, const int64_t *order, int64_t assoc, int64_t clock,
+             int64_t *tags, int64_t *stamp, const int64_t *sec,
+             const int64_t *req_set, const int64_t *home_set,
+             const uint8_t *local, const uint8_t *req_ins,
+             const uint8_t *home_ins, uint8_t *req_hit, uint8_t *home_hit)
+{
+    for (int64_t k = 0; k < n; k++) {
+        int64_t i = order[k];
+        uint8_t hit = probe(tags, stamp, assoc, req_set[i], sec[i],
+                            req_ins[i], ++clock);
+        req_hit[i] = hit;
+        if (!hit && !local[i])
+            home_hit[i] = probe(tags, stamp, assoc, home_set[i], sec[i],
+                                home_ins[i], ++clock);
+    }
+    return clock;
+}
+"""
+
+#: Compiler looked up on ``PATH``; no ``-march=native``, so a cached object
+#: stays valid on any host of the same platform.
+_CC = "cc"
+_FLAGS = ("-O2", "-shared", "-fPIC")
+
+#: ``(kernel or None, status, reason)`` once :func:`load` has run.
+_STATE: Optional[Tuple[Optional[Callable], str, str]] = None
+_LOCK = threading.Lock()
+
+#: True inside :func:`forced_fallback` (per thread and task context).
+_FORCED = contextvars.ContextVar("repro_native_forced_fallback", default=False)
+
+
+@contextlib.contextmanager
+def forced_fallback() -> Iterator[None]:
+    """Within the block, behave as if no kernel were available.
+
+    :func:`load` returns None and :func:`backend_status` reports
+    ``"fallback"``, so vector-engine runs take the numpy walk -- the path a
+    host without a C compiler takes -- with identical results.  Nothing is
+    built or unloaded: the kernel is back when the block exits.
+    """
+    token = _FORCED.set(True)
+    try:
+        yield
+    finally:
+        _FORCED.reset(token)
+
+
+def _digest() -> str:
+    key = "\0".join((_SOURCE, " ".join(_FLAGS), sys.platform, platform.machine()))
+    return hashlib.sha256(key.encode()).hexdigest()[:16]
+
+
+def _cache_dirs() -> List[str]:
+    """Where the shared object may live, most preferred first."""
+    return [
+        os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__"),
+        os.path.join(tempfile.gettempdir(), f"repro-native-{os.getuid()}"),
+    ]
+
+
+def _private(path: str, is_kind: Callable[[int], bool]) -> bool:
+    """True when ``path`` itself (not a symlink) is of the wanted kind, owned
+    by this user or root, and writable by neither group nor others."""
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return False
+    return (
+        is_kind(st.st_mode)
+        and st.st_uid in (os.getuid(), 0)
+        and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    )
+
+
+def _build(cc: str) -> Tuple[Optional[str], str]:
+    """Path of the cached (or freshly built) shared object, or a reason."""
+    name = f"_walk_{_digest()}.so"
+    reasons = []
+    for directory in _cache_dirs():
+        try:
+            os.makedirs(directory, mode=0o700, exist_ok=True)
+        except OSError as exc:
+            reasons.append(f"cache dir {directory}: {exc.strerror or exc}")
+            continue
+        # Only a directory nobody else can write keeps its contents ours.
+        if not _private(directory, stat.S_ISDIR):
+            reasons.append(f"cache dir {directory}: not private to this user")
+            continue
+        path = os.path.join(directory, name)
+        if os.path.lexists(path):
+            if _private(path, stat.S_ISREG):
+                return path, ""
+            reasons.append(f"cached object {path}: not private to this user")
+            continue
+        try:
+            fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=directory)
+            os.close(fd)
+        except OSError as exc:
+            reasons.append(f"cache dir {directory}: {exc.strerror or exc}")
+            continue
+        try:
+            proc = subprocess.run(
+                [cc, *_FLAGS, "-x", "c", "-", "-o", tmp],
+                input=_SOURCE.encode(),
+                capture_output=True,
+                timeout=60,
+            )
+            if proc.returncode != 0:
+                err = proc.stderr.decode(errors="replace").strip().splitlines()
+                return None, f"build failed: {err[-1] if err else proc.returncode}"
+            os.chmod(tmp, 0o755)  # whatever the umask, never group-writable
+            os.replace(tmp, path)
+            return path, ""
+        except (OSError, subprocess.SubprocessError) as exc:
+            return None, f"build failed: {exc}"
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return None, "; ".join(reasons) or "no cache directory"
+
+
+def _bind(path: str) -> Callable:
+    fn = ctypes.CDLL(path).walk
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64] + [
+        ctypes.c_void_p
+    ] * 10
+    return fn
+
+
+def _resolve() -> Tuple[Optional[Callable], str, str]:
+    if not hasattr(os, "getuid"):
+        return None, "fallback", "cache ownership cannot be checked on this platform"
+    cc = shutil.which(_CC)
+    if cc is None:
+        return None, "fallback", f"no C compiler ({_CC!r} not on PATH)"
+    path, reason = _build(cc)
+    if path is None:
+        return None, "fallback", reason
+    try:
+        return _bind(path), "native", ""
+    except (OSError, AttributeError) as exc:
+        return None, "fallback", f"load failed: {exc}"
+
+
+def _state() -> Tuple[Optional[Callable], str, str]:
+    global _STATE
+    if _FORCED.get():
+        return None, "fallback", "forced_fallback() is active"
+    if _STATE is None:
+        with _LOCK:
+            if _STATE is None:
+                _STATE = _resolve()
+    return _STATE
+
+
+def load() -> Optional[Callable]:
+    """The kernel's ctypes function, building it on first call; None on fallback."""
+    return _state()[0]
 
 
 def backend_status() -> str:
-    """``"jit"`` when numba backs the compiled paths, else ``"fallback"``."""
-    return "jit" if HAVE_NUMBA else "fallback"
+    """``"native"`` when the kernel loaded, else ``"fallback"`` (resolves it)."""
+    return _state()[1]
 
 
-def _probe_seq_py(
+def fallback_reason() -> str:
+    """Why the kernel is unavailable (empty when it is native)."""
+    return _state()[2]
+
+
+def walk(
+    kernel: Callable,
     tags: np.ndarray,
     stamp: np.ndarray,
-    sectors: np.ndarray,
-    sets: np.ndarray,
-    insert: np.ndarray,
-    base: int,
-) -> np.ndarray:
-    """Sequential per-event LRU probe: the reference semantics, in Python.
+    clock: int,
+    order: np.ndarray,
+    sec: np.ndarray,
+    req_set: np.ndarray,
+    home_set: np.ndarray,
+    local: np.ndarray,
+    req_ins: np.ndarray,
+    home_ins: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Run the kernel over ``order``; returns ``(req_hit, home_hit, clock)``.
 
-    Event ``i`` probes set ``sets[i]`` for ``sectors[i]``: a hit refreshes
-    the way's stamp to ``base + i``; a miss fills the minimum-stamp way
-    (empty ways carry stamp 0, real stamps are >= 1, so free ways fill
-    first) when ``insert[i]``.  Identical, event for event, to probing an
-    ``OrderedDict`` LRU -- and to what :meth:`ArrayLRU._probe`'s batched
-    paths reproduce.  This body is also the numba kernel's source; keep it
-    nopython-compatible (no fancy indexing, no allocations in the loop).
+    ``tags``/``stamp`` (C-contiguous int64, one row per set) are updated in
+    place.  Outcome masks are aligned with ``sec`` (not with ``order``);
+    accesses outside ``order`` read False.  Every index is bounds-checked
+    here, before the kernel sees a pointer.
     """
-    n = sectors.shape[0]
-    assoc = tags.shape[1]
-    hit = np.zeros(n, dtype=np.bool_)
-    for i in range(n):
-        s = sets[i]
-        sec = sectors[i]
-        found = False
-        victim = 0
-        vmin = stamp[s, 0]
-        for w in range(assoc):
-            if tags[s, w] == sec:
-                stamp[s, w] = base + i
-                found = True
-                break
-            sv = stamp[s, w]
-            if sv < vmin:
-                vmin = sv
-                victim = w
-        if found:
-            hit[i] = True
-        elif insert[i]:
-            tags[s, victim] = sec
-            stamp[s, victim] = base + i
-    return hit
-
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-    probe_sequential = njit(cache=True, nogil=True)(_probe_seq_py)
-else:
-    #: With numba absent this is the pure-Python loop -- correct but slow,
-    #: so ArrayLRU only dispatches here when the JIT is actually available.
-    probe_sequential = _probe_seq_py
+    n = sec.size
+    num_sets = tags.shape[0]
+    ints = [np.ascontiguousarray(a, dtype=np.int64) for a in (order, sec, req_set, home_set)]
+    flags = [np.ascontiguousarray(a, dtype=np.bool_) for a in (local, req_ins, home_ins)]
+    for table in (tags, stamp):
+        if table.dtype != np.int64 or not table.flags.c_contiguous or table.shape != tags.shape:
+            raise SimulationError("walk kernel needs C-contiguous int64 tag/stamp tables")
+    if any(a.size != n for a in ints[1:] + flags):
+        raise SimulationError("walk kernel inputs differ in length")
+    for a, bound in ((ints[0], n), (ints[2], num_sets), (ints[3], num_sets)):
+        if a.size and (a.min() < 0 or a.max() >= bound):
+            raise SimulationError("walk kernel index out of range")
+    req_hit = np.zeros(n, dtype=np.bool_)
+    home_hit = np.zeros(n, dtype=np.bool_)
+    o, s, rs, hs = (a.ctypes.data for a in ints)
+    lo, ri, hi = (a.ctypes.data for a in flags)
+    clock = kernel(
+        ints[0].size, o, tags.shape[1], clock, tags.ctypes.data,
+        stamp.ctypes.data, s, rs, hs, lo, ri, hi,
+        req_hit.ctypes.data, home_hit.ctypes.data,
+    )
+    return req_hit, home_hit, int(clock)

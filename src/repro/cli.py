@@ -29,7 +29,8 @@ import sys
 from typing import List, Optional
 
 from repro.compiler.passes import compile_program
-from repro.engine.simulator import simulate
+from repro.engine.simulator import ENGINES, simulate
+from repro.errors import ReproError
 from repro.experiments import (
     ablations,
     benchperf,
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--engine",
         default=None,
-        choices=["vector", "legacy", "compiled"],
+        choices=ENGINES,
         help="simulation engine (default: REPRO_ENGINE or 'vector')",
     )
 
@@ -382,7 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> None:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    """Run one command; a package error exits 2 with a one-line message."""
+    try:
+        _dispatch(list(sys.argv[1:] if argv is None else argv))
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _dispatch(argv: List[str]) -> None:
     # Experiment commands forward their own flags to the experiment parser.
     if argv and argv[0] in _EXPERIMENT_MAINS:
         code = _EXPERIMENT_MAINS[argv[0]](argv[1:])

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro import obs
 from repro.cache.array_lru import ArrayLRU
-from repro.cache.compiled import backend_status as compiled_status
+from repro.cache.compiled import backend_status as native_status
 from repro.cache.l2 import SectoredCache
 from repro.cache.stats import TrafficClass
 from repro.compiler.passes import CompiledProgram, compile_program
@@ -48,12 +48,10 @@ from repro.topology.system import Channel, LinkClass, SystemTopology
 
 __all__ = ["Simulator", "simulate", "ENGINES"]
 
-#: Supported engine names: the vectorised batch walk (default), the
-#: per-sector reference walk it must stay bit-exact with, and the vector
-#: walk with the numba-compiled :class:`ArrayLRU` probe core ("compiled";
-#: falls back to the numpy core, bit-exact either way, when numba is
-#: absent).
-ENGINES = ("vector", "legacy", "compiled")
+#: Supported engine names: the vector walk (default: one native kernel call
+#: per launch, or the numpy walk when no C compiler is reachable) and the
+#: per-sector reference walk it must stay bit-exact with.
+ENGINES = ("vector", "legacy")
 
 # Integer codes for the traffic-class accumulators (see cache.stats).
 _LL, _LR, _RL = 0, 1, 2
@@ -97,11 +95,11 @@ class Simulator:
     """Executes programs on one simulated system configuration.
 
     ``engine`` selects the memory-walk implementation: ``"vector"`` (the
-    batched numpy engine, default), ``"legacy"`` (the per-sector reference
-    walk) or ``"compiled"`` (the vector engine with the numba-compiled
-    sequential probe core; silently identical to ``"vector"`` when numba is
-    not installed).  All engines are bit-exact on every reported metric;
-    the reference stays selectable for parity tests and debugging.  The
+    fused-cache engine with the native launch walk, default; silently the
+    numpy walk when no C compiler is reachable, see
+    :mod:`repro.cache.compiled`) or ``"legacy"`` (the per-sector reference
+    walk).  Both engines are bit-exact on every reported metric; the
+    reference stays selectable for parity tests and debugging.  The
     default may be overridden with the ``REPRO_ENGINE`` environment
     variable.
 
@@ -157,8 +155,8 @@ class Simulator:
         self.obs_session = obs_session
         self._obs_strategy = ""  # strategy label for counters, set per run()
         #: wall-clock seconds per stage, accumulated across run() calls.
-        #: ``walk_free``/``walk_sync`` are sub-splits of ``walk`` (vector
-        #: engine only; their sum is <= walk, the rest is stream setup).
+        #: ``walk_free``/``walk_sync`` are sub-splits of ``walk`` (numpy
+        #: walk only; their sum is <= walk, the rest is stream setup).
         self.stage_times = self._fresh_stage_times()
         #: speculation/memoisation telemetry, accumulated across run() calls
         self.walk_counters = dict.fromkeys(self._COUNTER_KEYS, 0)
@@ -193,17 +191,13 @@ class Simulator:
         session = self.obs_session if self.obs_session is not None else obs.current()
         self._obs_strategy = plan.strategy_name
         tr = session.tracer
-        if self.engine in ("vector", "compiled"):
+        if self.engine == "vector":
             # One fused cache: node n's slice is sets [n*num_sets, (n+1)*num_sets).
             l2s = [
-                ArrayLRU(
-                    num_nodes * cfg.l2.num_sets,
-                    cfg.l2.assoc,
-                    backend="compiled" if self.engine == "compiled" else "numpy",
-                )
+                ArrayLRU(num_nodes * cfg.l2.num_sets, cfg.l2.assoc, backend="native")
             ]
-            if self.engine == "compiled" and session.counters.enabled:
-                session.counters.inc("walk.compiled", status=compiled_status())
+            if session.counters.enabled:
+                session.counters.inc("walk.compiled", status=native_status())
         else:
             l2s = [
                 SectoredCache(cfg.l2.num_sets, cfg.l2.assoc)
@@ -236,7 +230,7 @@ class Simulator:
                     kernel=lp.launch.kernel.name,
                     launch=launch_index,
                 ):
-                    if self.engine in ("vector", "compiled"):
+                    if self.engine == "vector":
                         metrics = self._run_launch_vector(
                             launch_index, lp, plan, compiled, l2s[0], page_counts,
                             session,
@@ -273,7 +267,7 @@ class Simulator:
     def _emit_occupancy(self, session, l2s, num_nodes: int) -> None:
         """Gauge the end-of-run L2 occupancy per node into the registry."""
         strategy = self._obs_strategy
-        if self.engine in ("vector", "compiled"):
+        if self.engine == "vector":
             per_node = l2s[0].occupancy_per_node(num_nodes)
         else:
             per_node = [c.occupancy for c in l2s]

@@ -17,7 +17,13 @@ legacy walk (same byte counts, hit rates, traffic-class splits, LRU state):
     index is ``node * num_sets + (sector % num_sets)``.  Node slices never
     share a set, so this is state-identical to separate caches, and an L2
     access only interacts with earlier accesses to the *same global set*.
-4.  **Free/sync decomposition per iteration.**  Remote-homed misses inject
+4.  **The native launch walk.**  When the cache's C kernel is available
+    (:mod:`repro.cache.compiled`) the whole launch's survivor stream walks
+    sequentially in one call -- requester probe, then home probe on a
+    remote miss -- and the outcomes fold into the accumulators.  Points
+    5-7 are the numpy walk, used without a compiler or inside
+    :func:`repro.cache.compiled.forced_fallback`.
+5.  **Free/sync decomposition per iteration.**  Remote-homed misses inject
     fills into their home node's sets at a cache-state-dependent moment, so
     only sets that *might receive a fill this iteration* (the hot footprint,
     ``unique`` of the remote accesses' home sets) need ordered treatment.
@@ -25,7 +31,7 @@ legacy walk (same byte counts, hit rates, traffic-class splits, LRU state):
     its set sees nothing but position-ordered requester traffic, so all free
     accesses of the iteration fuse into one :meth:`ArrayLRU.probe_batch`
     call.
-5.  **Speculative fill resolution for the sync stream.**  The rest -- sync
+6.  **Speculative fill resolution for the sync stream.**  The rest -- sync
     accesses plus the home-side fills of free misses -- forms a
     position-ordered event stream whose only data-dependent part is *whether
     a sync remote requester's home fill happens* (it does iff the requester
@@ -44,7 +50,7 @@ legacy walk (same byte counts, hit rates, traffic-class splits, LRU state):
     cannot disagree at their earliest difference); a round cap with an exact
     scalar fallback bounds the pathological case.  See
     ``docs/simulator_model.md`` section 3c.
-6.  **Fully-local launches collapse to one probe call.**  When a launch has
+7.  **Fully-local launches collapse to one probe call.**  When a launch has
     no remotely-homed survivor at all there are no fills, per-set stream
     order is the only constraint, and ``probe_batch`` preserves it -- so the
     whole launch (all iterations, wave order) becomes a single batch.
@@ -92,9 +98,37 @@ _SEGMENT_DEPTH_DIVISOR = 96
 #: bounds adversarial flip chains.
 _REPAIR_ROUND_CAP = 32
 
-#: ``REPRO_SYNC_REPLAY=array|scalar`` pins the replay path (parity testing /
-#: CI gates); unset or empty keeps the size heuristic.
-_FORCED_MODE = os.environ.get("REPRO_SYNC_REPLAY") or None
+
+def _walk_order(
+    order: np.ndarray, trip: int, offsets: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Element indices of a block layout in walk order.
+
+    Block ``(tb, m)`` sits at ``tb * trip + m`` with its elements at
+    ``offsets[b] : offsets[b] + lengths[b]``.  The walk is iteration-major,
+    and iteration ``m`` visits threadblocks in wave ``order`` rotated left
+    by ``7 * m`` (so no node always wins first-touch races).
+    """
+    ntb = order.size
+    m = np.arange(trip, dtype=np.int64)
+    shift = (m * 7) % max(1, ntb)
+    pos = (np.arange(ntb, dtype=np.int64)[None, :] + shift[:, None]) % max(1, ntb)
+    blocks = (order[pos] * trip + m[:, None]).ravel()
+    return _concat_ranges(offsets[blocks], lengths[blocks])
+
+
+def _count_bypass(bypass, home, num_nodes, strategy, counters, reg) -> None:
+    """Count home-side L2 bypasses: realised home events that missed and,
+    per the allocation's RONCE policy, did not insert at the home L2."""
+    n_bypass = int(bypass.sum())
+    if not n_bypass:
+        return
+    if counters is not None:
+        counters["l2_bypass"] += n_bypass
+    if reg.enabled:
+        per_node = np.bincount(home[bypass], minlength=num_nodes)
+        for nd in np.nonzero(per_node)[0]:
+            reg.inc("l2.bypass", int(per_node[nd]), node=int(nd), strategy=strategy)
 
 
 def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -165,7 +199,9 @@ def replay_sync_stream(
         counters["sync_elements"] += K
 
     if mode is None:
-        mode = _FORCED_MODE
+        # REPRO_SYNC_REPLAY=array|scalar pins the path (parity tests, CI);
+        # read per call so tests can set it.  Unset keeps the heuristic.
+        mode = os.environ.get("REPRO_SYNC_REPLAY") or None
     if mode is None:
         mode = "array"
         if K < _SCALAR_MAX_ELEMENTS:
@@ -226,7 +262,7 @@ def _replay_sync_array(
     predictor=None,
     site: Optional[np.ndarray] = None,
 ) -> tuple:
-    """Speculative segmented replay (see module docstring, point 5)."""
+    """Speculative segmented replay (see module docstring, point 6)."""
     if session is None:
         session = obs.current()
     tr = session.tracer
@@ -499,7 +535,9 @@ def _accumulate_sync_stats(
         dram_requests += c[:, 2]
     if home_present.any():
         hp = home_present
-        np.add.at(transfers, (home[hp], node[hp]), 1)
+        transfers += np.bincount(
+            home[hp] * num_nodes + node[hp], minlength=num_nodes * num_nodes
+        ).reshape(num_nodes, num_nodes)
         code = home[hp] * 2 + home_hit[hp]
         c = np.bincount(code, minlength=num_nodes * 2).reshape(num_nodes, 2)
         stats_acc[:, _RL, 0] += c[:, 0]
@@ -580,13 +618,7 @@ def walk_launch(
         # so the first-touch stream is just the blocks' sector ranges
         # concatenated in step order -- built directly instead of argsorting
         # per-sector step keys (the sort dominated stage 1 on FT plans).
-        chunks = []
-        for m in range(trip):
-            shift = (m * 7) % max(1, ntb)
-            rotated = np.concatenate((order[shift:], order[:shift]))
-            blocks = rotated * trip + m
-            chunks.append(_concat_ranges(trace.offsets[blocks], lengths[blocks]))
-        touch_order = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
+        touch_order = _walk_order(order, trip, trace.offsets, lengths)
         page_table.resolve_first_touch(
             trace.pages[touch_order], tb_nodes[tb_per_sector[touch_order]]
         )
@@ -636,6 +668,29 @@ def walk_launch(
     slengths = np.diff(soff)
 
     # ------------------------------------------------------------------
+    # Native launch walk (module docstring, point 4): one sequential kernel
+    # call over the whole launch in walk order -- the legacy walk's inner
+    # loop after the L1 filter.
+    # ------------------------------------------------------------------
+    if ssec.size and l2.backend == "native":
+        w = _walk_order(order, trip, soff, slengths)
+        with tr.span("native_walk", cat="walk", accesses=int(w.size)):
+            req_hit, home_hit = l2.walk_native(
+                w, ssec, greq, ghome, slocal, req_ins, sins
+            )
+        home_present = ~(slocal | req_hit)
+        _accumulate_sync_stats(
+            num_nodes, np.zeros(ssec.size, dtype=bool), slocal, s_node, shome,
+            req_hit, home_present, home_hit, stats_acc, dram_requests, transfers,
+        )
+        _count_bypass(
+            home_present & ~home_hit & ~sins, shome, num_nodes,
+            strategy, counters, reg,
+        )
+        metrics.faults = page_table.fault_count - faults_before
+        return metrics, xbar_requests, dram_requests, transfers, stats_acc
+
+    # ------------------------------------------------------------------
     # Fully-local launch fast path.  When no access is remotely homed, no
     # L2 set ever sees traffic from more than one node, so per-set order --
     # which probe_batch preserves -- is the only ordering that matters and
@@ -643,13 +698,7 @@ def walk_launch(
     # Every Monolithic run takes this path.
     # ------------------------------------------------------------------
     if ssec.size and slocal.all():
-        chunks = []
-        for m in range(trip):
-            shift = (m * 7) % max(1, ntb)
-            rotated = np.concatenate((order[shift:], order[:shift]))
-            blocks = rotated * trip + m
-            chunks.append(_concat_ranges(soff[blocks], slengths[blocks]))
-        w = np.concatenate(chunks)
+        w = _walk_order(order, trip, soff, slengths)
         t0 = perf_counter()
         with tr.span("free_probe", cat="walk", accesses=int(w.size)):
             hitw = l2.probe_batch(ssec[w], greq[w], req_ins[w])
@@ -799,18 +848,10 @@ def walk_launch(
         t_sync += perf_counter() - t0
         # Home-side bypasses: realised home events that missed and, per the
         # allocation's RONCE policy, did not insert at the home L2.
-        bypass = home_present & ~home_hit & ~ev_ins
-        n_bypass = int(bypass.sum())
-        if n_bypass:
-            if counters is not None:
-                counters["l2_bypass"] += n_bypass
-            if reg.enabled:
-                per_node = np.bincount(ev_home[bypass], minlength=num_nodes)
-                for nd in np.nonzero(per_node)[0]:
-                    reg.inc(
-                        "l2.bypass", int(per_node[nd]),
-                        node=int(nd), strategy=strategy,
-                    )
+        _count_bypass(
+            home_present & ~home_hit & ~ev_ins, ev_home, num_nodes,
+            strategy, counters, reg,
+        )
 
     if timers is not None:
         timers["walk_free"] += t_free

@@ -1,14 +1,19 @@
-"""Engine performance benchmark: vectorised walk vs legacy reference.
+"""Engine performance benchmark: vector and numpy walks vs legacy reference.
 
-Times a Figure-9 style subset (8 workloads x 4 strategies) under both
-engines and writes ``BENCH_perf.json`` with per-stage wall-clock times
-(trace, walk, finalize, plus the vector engine's ``walk_free``/``walk_sync``
-sub-splits), per-workload walk-stage speedups, speculation telemetry
-(``spec_events``, ``spec_mispredicts``, repair rate per launch) and
-walk-memo hit counts.  The vector engine shares one trace cache and one
-walk memo per workload, so each (workload, scale) traces once and replays
-across strategies; the legacy engine re-traces per strategy, exactly as it
-did before the vector engine existed.
+Times a Figure-9 style subset (8 workloads x 6 strategies) in three
+columns -- the ``legacy`` engine, the ``vector`` engine (native launch walk)
+and ``numpy`` (the vector engine inside
+:func:`repro.cache.compiled.forced_fallback`, the no-compiler walk) -- and writes
+``BENCH_perf.json`` with per-stage wall-clock times (trace, walk, finalize,
+plus the numpy walk's ``walk_free``/``walk_sync`` sub-splits), per-workload
+walk-stage speedups, speculation telemetry (``spec_events``,
+``spec_mispredicts``, repair rate per launch -- taken from the ``numpy``
+engine, the only one that speculates) and walk-memo hit counts.  The array
+engines share one trace cache and one walk memo per workload, so each
+(workload, scale) traces once and replays across strategies; the legacy
+engine re-traces per strategy, exactly as it did before the vector engine
+existed.  The speedups are parity-run ratios, not the performance claim
+(that is the perf ledger's absolute wall time).
 
 Usage::
 
@@ -29,6 +34,7 @@ scales or machines.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import platform
 import sys
@@ -37,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cache import compiled as compiled_backend
+from repro.cache import compiled as native_backend
 from repro.compiler.passes import compile_program
 from repro.engine.simulator import Simulator
 from repro.obs.manifest import build_manifest
@@ -52,7 +58,8 @@ __all__ = ["run_bench", "check_gate", "counter_deltas", "main"]
 
 STAGES = ("trace", "walk", "finalize", "walk_free", "walk_sync")
 
-#: Walk-telemetry counters surfaced per workload and in the totals.
+#: Walk-telemetry counters surfaced per workload and in the totals (from
+#: the ``numpy`` engine run).
 COUNTER_KEYS = (
     "free_accesses",
     "sync_elements",
@@ -133,7 +140,7 @@ def _run_engine(
     counters, and the per-launch log (vector engine; empty for legacy).
     """
     cfgs = _configs()
-    array_engine = engine in ("vector", "compiled")
+    array_engine = engine == "vector"
     cache = TraceCache() if array_engine else None
     # One memo per workload mirrors run_matrix sharing: strategies that
     # produce identical placement+policy skip their repeat walks; distinct
@@ -180,11 +187,7 @@ def run_bench(
     check_parity: bool,
     verbose: bool = True,
 ) -> dict:
-    # The compiled engine is the vector engine over the numba probe core;
-    # without numba it would just re-time the numpy paths, so it only joins
-    # the matrix when the JIT is actually available.
-    with_compiled = compiled_backend.HAVE_NUMBA
-    engines = ["vector"] + (["compiled"] if with_compiled else [])
+    engines = ["vector", "numpy"]
     per_workload: Dict[str, dict] = {}
     mismatches: List[str] = []
     # Static-analysis hygiene: time the full lint and the traffic-bound
@@ -223,9 +226,16 @@ def run_bench(
             },
         }
         for eng in engines:
-            eng_t, eng_snaps, counters, launch_log = _run_engine(
-                eng, compiled, STRATEGIES, check_parity
+            # The numpy column is the vector engine with the kernel forced off.
+            walk = (
+                native_backend.forced_fallback()
+                if eng == "numpy"
+                else contextlib.nullcontext()
             )
+            with walk:
+                eng_t, eng_snaps, counters, launch_log = _run_engine(
+                    "vector", compiled, STRATEGIES, check_parity
+                )
             suffix = "" if eng == "vector" else "_" + eng
             speedup = legacy_t["total"] / eng_t["total"] if eng_t["total"] else 0.0
             walk_speedup = (
@@ -238,7 +248,7 @@ def run_bench(
                     "walk_speedup" + suffix: walk_speedup,
                 }
             )
-            if eng == "vector":
+            if eng == "numpy":
                 per_workload[wname]["counters"] = counters
                 per_workload[wname]["launches"] = launch_log
             if check_parity:
@@ -251,21 +261,16 @@ def run_bench(
             if check_parity:
                 bad = [m for m in mismatches if m.startswith(wname + "/")]
                 flag = "  PARITY-MISMATCH" if bad else "  parity-ok"
-            vec = w["vector"]
-            comp = (
-                f" compiled={w['compiled']['total']:7.2f}s"
-                f" ({w['speedup_compiled']:5.2f}x)"
-                if with_compiled
-                else ""
-            )
+            vec, num = w["vector"], w["numpy"]
             ana = w["analysis"]
             print(
                 f"{wname:<14} legacy={legacy_t['total']:7.2f}s "
                 f"vector={vec['total']:7.2f}s "
                 f"speedup={w['speedup']:5.2f}x walk={w['walk_speedup']:5.2f}x "
-                f"[free={vec['walk_free']:.2f}s sync={vec['walk_sync']:.2f}s] "
+                f"numpy={num['total']:7.2f}s walk={w['walk_speedup_numpy']:5.2f}x "
+                f"[free={num['walk_free']:.2f}s sync={num['walk_sync']:.2f}s] "
                 f"analysis[lint={ana['lint_s']:.2f}s bound={ana['bound_s']:.2f}s]"
-                f"{comp}{flag}",
+                f"{flag}",
                 flush=True,
             )
 
@@ -294,9 +299,11 @@ def run_bench(
         if totals["vector"]["walk"]
         else 0.0
     )
-    overall_compiled = None
-    if with_compiled and totals["compiled"]["total"]:
-        overall_compiled = totals["legacy"]["total"] / totals["compiled"]["total"]
+    overall_numpy = (
+        totals["legacy"]["total"] / totals["numpy"]["total"]
+        if totals["numpy"]["total"]
+        else 0.0
+    )
     return {
         "meta": {
             "scale": scale.name,
@@ -304,22 +311,22 @@ def run_bench(
             "strategies": STRATEGIES,
             "stages": list(STAGES),
             "engines": ["legacy"] + engines,
-            "compiled_backend": compiled_backend.backend_status(),
+            "native_backend": native_backend.backend_status(),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "manifest": build_manifest(
                 extra={"scale": scale.name, "workloads": workload_names}
             ),
             "note": (
-                "legacy re-traces per strategy; vector shares one trace "
-                "cache per workload, so its trace stage is paid once"
+                "legacy re-traces per strategy; vector and numpy share one "
+                "trace cache per workload, so their trace stage is paid once"
             ),
         },
         "per_workload": per_workload,
         "totals": totals,
         "overall_speedup": overall,
         "overall_walk_speedup": overall_walk,
-        "overall_compiled_speedup": overall_compiled,
+        "overall_numpy_speedup": overall_numpy,
         "parity_checked": check_parity,
         "parity_mismatches": mismatches,
     }
@@ -434,19 +441,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         report["counter_deltas"] = counter_deltas(report, args.gate)
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2)
-    compiled_note = ""
-    if report["overall_compiled_speedup"] is not None:
-        compiled_note = (
-            f", compiled {report['totals']['compiled']['total']:.2f}s "
-            f"-> {report['overall_compiled_speedup']:.2f}x"
-        )
     ana = report["totals"]["analysis"]
     print(
         f"\noverall: legacy {report['totals']['legacy']['total']:.2f}s, "
         f"vector {report['totals']['vector']['total']:.2f}s "
         f"-> {report['overall_speedup']:.2f}x total, "
-        f"{report['overall_walk_speedup']:.2f}x walk"
-        f"{compiled_note}; analysis lint={ana['lint_s']:.2f}s "
+        f"{report['overall_walk_speedup']:.2f}x walk, "
+        f"numpy {report['totals']['numpy']['total']:.2f}s "
+        f"-> {report['overall_numpy_speedup']:.2f}x; analysis lint={ana['lint_s']:.2f}s "
         f"bound={ana['bound_s']:.2f}s (informational)  (wrote {args.output})"
     )
     status = 0

@@ -11,6 +11,7 @@ import argparse
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.engine.simulator import ENGINES
 from repro.experiments.reporting import bar, format_table
 from repro.experiments.runner import MatrixResult, geomean, run_matrix, scale_by_name
 from repro.topology.config import bench_hierarchical, bench_monolithic
@@ -141,7 +142,7 @@ def main(argv: Optional[List[str]] = None) -> None:
         help="distribute workloads over N worker processes",
     )
     parser.add_argument(
-        "--engine", default=None, choices=["vector", "legacy"],
+        "--engine", default=None, choices=ENGINES,
         help="simulation engine (default: REPRO_ENGINE or 'vector')",
     )
     args = parser.parse_args(argv)

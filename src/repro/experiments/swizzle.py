@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.compiler.passes import compile_program
 from repro.engine.metrics import RunResult
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import ENGINES, Simulator
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
     MatrixResult,
@@ -225,7 +225,7 @@ def main(argv: Optional[List[str]] = None) -> None:
         help="distribute head-to-head workloads over N worker processes",
     )
     parser.add_argument(
-        "--engine", default=None, choices=["vector", "legacy"],
+        "--engine", default=None, choices=ENGINES,
         help="simulation engine (default: REPRO_ENGINE or 'vector')",
     )
     parser.add_argument(

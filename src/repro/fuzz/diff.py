@@ -11,10 +11,11 @@ For each generated program the runner:
    executes the program under
 
    * the legacy scalar walk,
-   * the vector walk (with the obs byte-reconciliation session attached),
-   * the compiled walk (vector engine over the numba probe core; when
-     numba is absent this exercises the numpy fallback, so the matrix is
-     still closed -- CI's ``compiled-smoke`` job covers the JIT),
+   * the vector walk (the native launch kernel when a C compiler is
+     reachable; with the obs byte-reconciliation session attached),
+   * the numpy walk (the vector engine inside
+     :func:`~repro.cache.compiled.forced_fallback`, so the no-compiler
+     free/sync/speculative path stays covered),
    * the memoised vector walk **twice** against one shared
      :class:`~repro.engine.walk_memo.WalkMemo` (second run replays hits
      when the launch is memo-eligible),
@@ -45,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.diagnostics import Severity
 from repro.analysis.oracle import cross_check_launch
 from repro.analysis.traffic import plan_for_analysis, program_traffic_bounds
+from repro.cache.compiled import forced_fallback
 from repro.cache.stats import TrafficClass
 from repro.compiler.passes import CompiledProgram, compile_program
 from repro.engine.simulator import Simulator
@@ -326,18 +328,19 @@ def _check_strategy(
         )
         return 2  # memo runs against a broken vector walk add no signal
 
-    compiled_run, _ = _run(
-        program, compiled, strategy_name, config, "compiled", trace_cache, no_memo
-    )
-    snap_compiled = compiled_run.snapshot()
-    if snap_compiled != snap_vector:
-        launch, detail = _first_divergence(snap_vector, snap_compiled)
+    with forced_fallback():
+        numpy_run, _ = _run(
+            program, compiled, strategy_name, config, "vector", trace_cache, no_memo
+        )
+    snap_numpy = numpy_run.snapshot()
+    if snap_numpy != snap_vector:
+        launch, detail = _first_divergence(snap_vector, snap_numpy)
         failures.append(
             DiffFailure(
                 kind="engine-parity",
                 strategy=strategy_name,
                 launch_index=launch,
-                message=f"vector vs compiled diverge: {detail}",
+                message=f"vector vs numpy diverge: {detail}",
             )
         )
 

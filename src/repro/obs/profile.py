@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 from repro import obs
 from repro.compiler.passes import compile_program
 from repro.engine.metrics import RunResult
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import ENGINES, Simulator
 from repro.experiments.fig9 import FIG9_STRATEGIES
 from repro.experiments.runner import scale_by_name, strategy_by_name
 from repro.obs.export import flame_summary, write_counters, write_trace
@@ -101,7 +101,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--strategy", nargs="+", default=None)
     parser.add_argument("--scale", default="test", choices=["bench", "test"])
     parser.add_argument(
-        "--engine", default=None, choices=["vector", "legacy"]
+        "--engine", default=None, choices=ENGINES
     )
     parser.add_argument(
         "--trace", default=None, metavar="FILE",

@@ -53,6 +53,7 @@ import asyncio
 import json
 import multiprocessing
 import os
+import signal
 import sys
 import time
 from collections import OrderedDict
@@ -221,6 +222,7 @@ class QueryServer:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context("fork"),
+                initializer=_reset_worker_signals,
             )
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -764,6 +766,13 @@ def validate_stats(doc: Dict) -> List[str]:
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+def _reset_worker_signals() -> None:
+    """Fork workers drop the server loop's signal wakeup fd and take SIGTERM
+    by default, so a signal aimed at a worker cannot stop the server."""
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _default_workers() -> int:
     return max(1, min(4, (os.cpu_count() or 2) - 1))
 
@@ -784,6 +793,11 @@ async def _serve(args) -> None:
         telemetry_file=args.telemetry_file,
     )
     host, port = await server.start()
+    # SIGTERM/SIGINT take the shutdown op's path: wait_stopped() returns and
+    # the finally block below stops the server and its pool workers.
+    loop = asyncio.get_running_loop()
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(sig, server._stopping.set)
     print(
         f"repro serve: listening on {host}:{port} "
         f"(workers={server.workers}, store={args.store or 'off'})",

@@ -1,8 +1,10 @@
-"""Bit-exact parity between the vector engine and the legacy reference walk.
+"""Bit-exact parity between the array engines and the legacy reference walk.
 
-The vectorised engine is a pure performance refactor: every reported metric
-(byte counts, traffic-class splits, fault counts, per-launch times) must be
-*identical* to the per-sector legacy walk, not approximately equal.  This
+The vector engine's native launch walk and its numpy fallback (the
+free/sync/speculative walk, forced here with ``forced_fallback()``) are pure
+performance refactors: every reported metric (byte counts,
+traffic-class splits, fault counts, per-launch times) must be *identical*
+to the per-sector legacy walk, not approximately equal.  This
 sweeps the full workload suite at test scale; each workload runs under a
 rotating subset of strategy/system pairs so that, across the suite, every
 strategy family and both topologies are exercised many times while the
@@ -12,8 +14,11 @@ sweep stays fast enough for tier-1.
 :mod:`repro.engine.metrics`).
 """
 
+from contextlib import nullcontext
+
 import pytest
 
+from repro.cache.compiled import forced_fallback
 from repro.engine.simulator import simulate
 from repro.engine.trace_cache import TraceCache
 from repro.experiments.runner import strategy_by_name
@@ -57,16 +62,18 @@ def test_engines_bit_exact(wname):
             _config(kind),
             engine="legacy",
         )
-        vector = simulate(
-            workload.program(TEST),
-            strategy_by_name(sname),
-            _config(kind),
-            engine="vector",
-            trace_cache=TraceCache(),
-        )
-        assert legacy.snapshot() == vector.snapshot(), (
-            f"{wname}/{sname}: engines disagree"
-        )
+        for label, walk in (("vector", nullcontext), ("numpy", forced_fallback)):
+            with walk():
+                run = simulate(
+                    workload.program(TEST),
+                    strategy_by_name(sname),
+                    _config(kind),
+                    engine="vector",
+                    trace_cache=TraceCache(),
+                )
+            assert legacy.snapshot() == run.snapshot(), (
+                f"{wname}/{sname}: legacy and {label} disagree"
+            )
 
 
 def test_all_pairs_covered():

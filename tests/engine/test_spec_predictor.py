@@ -6,8 +6,9 @@ Three layers of coverage:
   cross-launch store;
 * engine-level parity: predictor-guided replay must be bit-exact with the
   constant assume-miss path (``REPRO_SPEC_PREDICTOR=0``), the legacy scalar
-  walk and the compiled engine, across generated fuzz programs and a
-  rotating strategy subset;
+  walk and the native vector walk, across generated fuzz programs and a
+  rotating strategy subset (the predictor only runs in the numpy walk,
+  forced here with ``forced_fallback()``);
 * the seeded fault ``REPRO_FAULT_INJECT=spec-predictor-bias``: an
   adversarially *inverted* predictor must still produce exact results
   (verify-and-repair corrects every wrong guess) while measurably
@@ -15,10 +16,12 @@ Three layers of coverage:
 """
 
 import random
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from repro.cache.compiled import forced_fallback
 from repro.compiler.classify import LocalityType
 from repro.compiler.passes import compile_program
 from repro.engine.simulator import Simulator
@@ -297,9 +300,16 @@ def _snapshots(result):
 
 
 def _run(compiled, strategy_name, cfg, engine):
-    sim = Simulator(cfg, engine=engine, walk_memo=WalkMemo(0))
-    plan = strategy_by_name(strategy_name).plan(compiled, sim.topology)
-    return sim, _snapshots(sim.run(compiled, plan))
+    """``engine="numpy"`` is the vector engine with the kernel forced off."""
+    walk = forced_fallback() if engine == "numpy" else nullcontext()
+    with walk:
+        sim = Simulator(
+            cfg,
+            engine="vector" if engine == "numpy" else engine,
+            walk_memo=WalkMemo(0),
+        )
+        plan = strategy_by_name(strategy_name).plan(compiled, sim.topology)
+        return sim, _snapshots(sim.run(compiled, plan))
 
 
 class TestPredictorParity:
@@ -317,12 +327,12 @@ class TestPredictorParity:
         for name in strategies_for(index, count=2):
             cfg = fuzz_monolithic() if name == "Monolithic" else fuzz_hierarchical()
             _, legacy = _run(compiled, name, cfg, "legacy")
-            _, vec_on = _run(compiled, name, cfg, "vector")
-            _, comp = _run(compiled, name, cfg, "compiled")
+            _, native = _run(compiled, name, cfg, "vector")
+            _, pred_on = _run(compiled, name, cfg, "numpy")
             monkeypatch.setenv("REPRO_SPEC_PREDICTOR", "0")
-            _, vec_off = _run(compiled, name, cfg, "vector")
+            _, pred_off = _run(compiled, name, cfg, "numpy")
             monkeypatch.delenv("REPRO_SPEC_PREDICTOR")
-            assert legacy == vec_on == comp == vec_off, f"{spec.name}/{name}"
+            assert legacy == native == pred_on == pred_off, f"{spec.name}/{name}"
 
     def test_workload_parity_with_store_warm(self, monkeypatch):
         """Second run seeds from the store and must stay exact."""
@@ -331,8 +341,8 @@ class TestPredictorParity:
         compiled = compile_program(get_workload("lstm1").program(TEST))
         cfg = bench_hierarchical()
         _, legacy = _run(compiled, "LADM", cfg, "legacy")
-        _, cold = _run(compiled, "LADM", cfg, "vector")
-        _, warm = _run(compiled, "LADM", cfg, "vector")
+        _, cold = _run(compiled, "LADM", cfg, "numpy")
+        _, warm = _run(compiled, "LADM", cfg, "numpy")
         assert legacy == cold == warm
 
 
@@ -346,11 +356,11 @@ class TestFaultInjectionSelfTest:
         monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
         default_spec_store().clear()
         _, legacy = _run(compiled, "LADM", cfg, "legacy")
-        sim_good, good = _run(compiled, "LADM", cfg, "vector")
+        sim_good, good = _run(compiled, "LADM", cfg, "numpy")
 
         monkeypatch.setenv("REPRO_FAULT_INJECT", "spec-predictor-bias")
         default_spec_store().clear()
-        sim_bias, biased = _run(compiled, "LADM", cfg, "vector")
+        sim_bias, biased = _run(compiled, "LADM", cfg, "numpy")
 
         assert biased == good == legacy  # repair wins regardless
         cg, cb = sim_good.walk_counters, sim_bias.walk_counters
@@ -365,7 +375,7 @@ class TestFaultInjectionSelfTest:
         compiled = compile_program(get_workload("scalarprod").program(TEST))
         cfg = bench_monolithic()
         monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
-        _, plain = _run(compiled, "Monolithic", cfg, "vector")
+        _, plain = _run(compiled, "Monolithic", cfg, "numpy")
         monkeypatch.setenv("REPRO_FAULT_INJECT", "spec-predictor-bias")
-        _, biased = _run(compiled, "Monolithic", cfg, "vector")
+        _, biased = _run(compiled, "Monolithic", cfg, "numpy")
         assert biased == plain

@@ -86,8 +86,8 @@ def _columns(elements, num_sets):
     return sec, node, home, is_fill, local, req_ins, home_ins, req_set, home_set
 
 
-def _warmed_lru(num_nodes, num_sets, assoc, warm):
-    l2 = ArrayLRU(num_nodes * num_sets, assoc)
+def _warmed_lru(num_nodes, num_sets, assoc, warm, backend="numpy"):
+    l2 = ArrayLRU(num_nodes * num_sets, assoc, backend=backend)
     for sec, node in warm:
         node %= num_nodes
         l2.replay_segments(

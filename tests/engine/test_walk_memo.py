@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.cache.compiled import forced_fallback
 from repro.compiler.passes import compile_program
 from repro.engine.simulator import Simulator
 from repro.engine.walk_memo import WalkMemo, default_walk_memo, memo_enabled
@@ -31,10 +32,13 @@ class TestMemoHits:
         compiled = _compiled("lstm1")
         cfg = bench_hierarchical()
         memo = WalkMemo()
-        sim1, r1 = _run(compiled, "LADM", cfg, memo)
+        # The numpy walk, whose probe telemetry shows a walk really ran.
+        with forced_fallback():
+            sim1, r1 = _run(compiled, "LADM", cfg, memo)
+            sim2, r2 = _run(compiled, "LADM", cfg, memo)
         assert sim1.walk_counters["memo_hits"] == 0
         assert sim1.walk_counters["memo_misses"] == len(r1.kernels)
-        sim2, r2 = _run(compiled, "LADM", cfg, memo)
+        assert sim1.walk_counters["free_accesses"] > 0
         assert sim2.walk_counters["memo_hits"] == len(r2.kernels)
         assert sim2.walk_counters["memo_misses"] == 0
         assert _snapshots(r1) == _snapshots(r2)

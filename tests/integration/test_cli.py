@@ -113,9 +113,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "all rows match Table II: True" in out
 
-    def test_unknown_workload_errors(self):
-        with pytest.raises(Exception):
+    def test_unknown_workload_errors(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["classify", "not_a_workload"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: unknown workload 'not_a_workload'")
+        assert err.count("\n") == 1
+
+    def test_unknown_engine_env_is_a_one_line_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_ENGINE", "bogus")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "vecadd", "--strategy", "LADM"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert err == (
+            "repro: error: unknown engine 'bogus'; "
+            "choose from ('vector', 'legacy')\n"
+        )
+        assert "Traceback" not in out + err
 
 
 class TestLint:

@@ -11,8 +11,8 @@ import json
 
 import pytest
 
-import repro.engine.vector_walk as vector_walk
 from repro import obs
+from repro.cache.compiled import forced_fallback
 from repro.engine.walk_memo import default_walk_memo
 from repro.obs.counters import parse_key
 from repro.obs.export import validate_counters, validate_trace
@@ -24,11 +24,13 @@ from repro.experiments.runner import scale_by_name
 
 @pytest.fixture()
 def fresh_obs_state(monkeypatch):
-    """Force the speculative array replay (guaranteeing repair-round spans)
-    and clear the process-wide walk memo (so walks actually run)."""
-    monkeypatch.setattr(vector_walk, "_FORCED_MODE", "array")
+    """Force the numpy walk with the speculative array replay (guaranteeing
+    repair-round spans) and clear the process-wide walk memo (so walks
+    actually run)."""
+    monkeypatch.setenv("REPRO_SYNC_REPLAY", "array")
     default_walk_memo().clear()
-    yield
+    with forced_fallback():
+        yield
     obs.disable()
 
 
