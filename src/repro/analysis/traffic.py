@@ -32,7 +32,7 @@ Soundness argument (checked continuously by the fuzzer's bound invariant,
 
 ``REPRO_FAULT_INJECT`` containing ``bound-lower-off-by-one`` inflates the
 lower bound by one sector -- the self-test hook proving the fuzzer's bound
-invariant actually bites (mirrors the ArrayLRU and predictor fault hooks).
+invariant actually bites (mirrors the ArrayLRU fault hook).
 """
 
 from __future__ import annotations

@@ -1,26 +1,25 @@
-"""Native launch-walk kernel for :class:`~repro.cache.array_lru.ArrayLRU`.
+"""The launch-walk kernel of :class:`~repro.cache.array_lru.ArrayLRU`.
 
-The vector engine's numpy walk pays for parallelism with machinery: the
-free/sync split, a speculation predictor, repair rounds and a scalar dict
-fallback, all there only to avoid a sequential per-access loop.  A compiled
-sequential loop needs none of it -- and the sequential per-access LRU walk
-is the ground-truth semantics every numpy path is calibrated against, so the
-kernel is bit-exact by construction rather than by re-derivation.
+The simulator's answer is one sequential walk over the fused L2 sets:
+probe the requester set, and on a miss of a remotely homed access probe
+the home set too, filling per the RTWICE/RONCE insert masks.  That walk is
+``_SOURCE``, ~30 lines of C, and :func:`_walk_py`, its line-for-line Python
+mirror -- the no-compiler fallback and the kernel's executable spec.
 
-The kernel is ~30 lines of C, built with the system C compiler on first use
-(never at import) and loaded through :mod:`ctypes`, so it adds no Python
-dependency.  The shared object is cached under a digest of source, flags and
-platform in this package's ``__pycache__`` (falling back to a per-user
-``0700`` temp directory), written through a same-directory temp file and
-``os.replace`` so concurrent fork workers race safely.  A cache directory or
-cached object is only used when it is a real directory/file (not a symlink)
-owned by this user or root and writable by nobody else; anything else is
-skipped, never loaded.  Without a reachable compiler -- or on any build or
-load failure -- :func:`load` returns None, the engine takes the numpy path
-(same results, numpy speed), and :func:`backend_status` /
-:func:`fallback_reason` say why.  :func:`forced_fallback` takes that path on
-purpose, so parity tests, the fuzzer and ``repro bench`` can exercise it on
-a host that has a compiler.
+The kernel is built with the system C compiler on first use (never at
+import) and loaded through :mod:`ctypes`, so it adds no Python dependency.
+The shared object is cached under a digest of source, flags and platform in
+this package's ``__pycache__`` (falling back to a per-user ``0700`` temp
+directory), written through a same-directory temp file and ``os.replace``
+so concurrent fork workers race safely.  A cache directory or cached object
+is only used when it is a real directory/file (not a symlink) owned by this
+user or root and writable by nobody else; anything else is skipped, never
+loaded.  Without a reachable compiler -- or on any build or load failure --
+:func:`load` returns None, :func:`walk` runs the mirror (same results,
+Python speed), and :func:`backend_status` / :func:`fallback_reason` say
+why.  :func:`forced_fallback` takes that path on purpose, so parity tests,
+the fuzzer and ``repro bench`` can exercise it on a host that has a
+compiler.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["backend_status", "fallback_reason", "forced_fallback", "load"]
+__all__ = ["backend_status", "fallback_reason", "forced_fallback", "load", "walk"]
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -104,7 +103,7 @@ def forced_fallback() -> Iterator[None]:
     """Within the block, behave as if no kernel were available.
 
     :func:`load` returns None and :func:`backend_status` reports
-    ``"fallback"``, so vector-engine runs take the numpy walk -- the path a
+    ``"fallback"``, so :func:`walk` runs the Python mirror -- the path a
     host without a C compiler takes -- with identical results.  Nothing is
     built or unloaded: the kernel is back when the block exits.
     """
@@ -239,8 +238,39 @@ def fallback_reason() -> str:
     return _state()[2]
 
 
+def _probe(tags, stamp, assoc, set_, sec, ins, now):
+    """Mirror of the kernel's ``probe`` over flat lists (row ``set_``)."""
+    base = set_ * assoc
+    victim, vmin = base, stamp[base]
+    for w in range(base, base + assoc):
+        if tags[w] == sec:
+            stamp[w] = now
+            return 1
+        if stamp[w] < vmin:
+            vmin, victim = stamp[w], w
+    if ins:
+        tags[victim] = sec
+        stamp[victim] = now
+    return 0
+
+
+def _walk_py(n, order, assoc, clock, tags, stamp, sec, req_set, home_set,
+             local, req_ins, home_ins, req_hit, home_hit):
+    """Mirror of the kernel's ``walk``: same arguments, lists for pointers."""
+    for k in range(n):
+        i = order[k]
+        clock += 1
+        hit = _probe(tags, stamp, assoc, req_set[i], sec[i], req_ins[i], clock)
+        req_hit[i] = hit
+        if not hit and not local[i]:
+            clock += 1
+            home_hit[i] = _probe(
+                tags, stamp, assoc, home_set[i], sec[i], home_ins[i], clock
+            )
+    return clock
+
+
 def walk(
-    kernel: Callable,
     tags: np.ndarray,
     stamp: np.ndarray,
     clock: int,
@@ -252,15 +282,16 @@ def walk(
     req_ins: np.ndarray,
     home_ins: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Run the kernel over ``order``; returns ``(req_hit, home_hit, clock)``.
+    """Walk ``order``; returns ``(req_hit, home_hit, clock)``.
 
     ``tags``/``stamp`` (C-contiguous int64, one row per set) are updated in
     place.  Outcome masks are aligned with ``sec`` (not with ``order``);
     accesses outside ``order`` read False.  Every index is bounds-checked
-    here, before the kernel sees a pointer.
+    here, before the kernel sees a pointer.  Runs the loaded kernel, or the
+    Python mirror when :func:`load` is None.
     """
     n = sec.size
-    num_sets = tags.shape[0]
+    num_sets, assoc = tags.shape
     ints = [np.ascontiguousarray(a, dtype=np.int64) for a in (order, sec, req_set, home_set)]
     flags = [np.ascontiguousarray(a, dtype=np.bool_) for a in (local, req_ins, home_ins)]
     for table in (tags, stamp):
@@ -271,12 +302,29 @@ def walk(
     for a, bound in ((ints[0], n), (ints[2], num_sets), (ints[3], num_sets)):
         if a.size and (a.min() < 0 or a.max() >= bound):
             raise SimulationError("walk kernel index out of range")
+    kernel = load()
+    if kernel is None:
+        t, st = tags.ravel().tolist(), stamp.ravel().tolist()
+        o, s, rs, hs = (a.tolist() for a in ints)
+        lo, ri, hi = (a.tolist() for a in flags)
+        req_hit, home_hit = bytearray(n), bytearray(n)  # arrive zeroed
+        clock = _walk_py(
+            len(o), o, assoc, clock, t, st, s, rs, hs, lo, ri, hi,
+            req_hit, home_hit,
+        )
+        tags.ravel()[:] = t
+        stamp.ravel()[:] = st
+        return (
+            np.frombuffer(req_hit, dtype=np.bool_),
+            np.frombuffer(home_hit, dtype=np.bool_),
+            clock,
+        )
     req_hit = np.zeros(n, dtype=np.bool_)
     home_hit = np.zeros(n, dtype=np.bool_)
     o, s, rs, hs = (a.ctypes.data for a in ints)
     lo, ri, hi = (a.ctypes.data for a in flags)
     clock = kernel(
-        ints[0].size, o, tags.shape[1], clock, tags.ctypes.data,
+        ints[0].size, o, assoc, clock, tags.ctypes.data,
         stamp.ctypes.data, s, rs, hs, lo, ri, hi,
         req_hit.ctypes.data, home_hit.ctypes.data,
     )

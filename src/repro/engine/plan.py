@@ -37,12 +37,6 @@ class LaunchPlan:
     cache_policy: Mapping[str, CachePolicy] = field(default_factory=dict)
     scheduler_desc: str = ""
     placement_desc: str = ""
-    #: the launch's dominant Table-II locality class
-    #: (:class:`repro.compiler.classify.LocalityType`), threaded from the
-    #: strategy's :class:`~repro.runtime.lasp.LaunchDecision`.  Advisory:
-    #: the engine only uses it to seed the speculation predictor, so
-    #: ``None`` (or a stale class) costs repair rounds, never correctness.
-    dominant_locality: object = None
     #: static inter-GPU traffic bounds for this launch
     #: (:class:`repro.analysis.traffic.LaunchTrafficBounds`), attached by
     #: :func:`repro.analysis.traffic.annotate_plan_bounds` -- eagerly when

@@ -50,6 +50,7 @@ import tempfile
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.errors import env_int
 
 __all__ = [
     "STORE_VERSION",
@@ -72,7 +73,7 @@ _ENTRY_SCHEMA = "repro-result-store-entry-v1"
 
 def default_store_bytes() -> int:
     """The default byte budget (``REPRO_RESULT_STORE_MB``, default 512)."""
-    return int(os.environ.get("REPRO_RESULT_STORE_MB", "512")) * 1024 * 1024
+    return env_int("REPRO_RESULT_STORE_MB", 512) * 1024 * 1024
 
 
 def _payload_sha(payload_bytes: bytes) -> str:

@@ -49,7 +49,7 @@ from repro.topology.system import Channel, LinkClass, SystemTopology
 __all__ = ["Simulator", "simulate", "ENGINES"]
 
 #: Supported engine names: the vector walk (default: one native kernel call
-#: per launch, or the numpy walk when no C compiler is reachable) and the
+#: per launch, or its Python mirror when no C compiler is reachable) and the
 #: per-sector reference walk it must stay bit-exact with.
 ENGINES = ("vector", "legacy")
 
@@ -95,8 +95,8 @@ class Simulator:
     """Executes programs on one simulated system configuration.
 
     ``engine`` selects the memory-walk implementation: ``"vector"`` (the
-    fused-cache engine with the native launch walk, default; silently the
-    numpy walk when no C compiler is reachable, see
+    fused-cache engine with the native launch walk, default; silently its
+    Python mirror when no C compiler is reachable, see
     :mod:`repro.cache.compiled`) or ``"legacy"`` (the per-sector reference
     walk).  Both engines are bit-exact on every reported metric; the
     reference stays selectable for parity tests and debugging.  The
@@ -117,16 +117,6 @@ class Simulator:
 
     #: zero-valued template for the walk telemetry counters
     _COUNTER_KEYS = (
-        "free_accesses",
-        "sync_elements",
-        "sync_events",
-        "spec_events",
-        "spec_rounds",
-        "spec_mispredicts",
-        "pred_events",
-        "pred_correct",
-        "sync_scalar",
-        "sync_fallbacks",
         "l2_bypass",
         "memo_hits",
         "memo_misses",
@@ -154,24 +144,16 @@ class Simulator:
         self.walk_memo = walk_memo
         self.obs_session = obs_session
         self._obs_strategy = ""  # strategy label for counters, set per run()
-        #: wall-clock seconds per stage, accumulated across run() calls.
-        #: ``walk_free``/``walk_sync`` are sub-splits of ``walk`` (numpy
-        #: walk only; their sum is <= walk, the rest is stream setup).
+        #: wall-clock seconds per stage, accumulated across run() calls
         self.stage_times = self._fresh_stage_times()
-        #: speculation/memoisation telemetry, accumulated across run() calls
+        #: bypass/memoisation telemetry, accumulated across run() calls
         self.walk_counters = dict.fromkeys(self._COUNTER_KEYS, 0)
-        #: per-launch telemetry records ({kernel, launch_index, memo, ...})
+        #: per-launch telemetry records ({kernel, launch_index, memo})
         self.walk_log: List[dict] = []
 
     @staticmethod
     def _fresh_stage_times() -> dict:
-        return {
-            "trace": 0.0,
-            "walk": 0.0,
-            "finalize": 0.0,
-            "walk_free": 0.0,
-            "walk_sync": 0.0,
-        }
+        return {"trace": 0.0, "walk": 0.0, "finalize": 0.0}
 
     def reset_stage_times(self) -> None:
         """Zero stage times and walk telemetry (counters + per-launch log)."""
@@ -193,9 +175,7 @@ class Simulator:
         tr = session.tracer
         if self.engine == "vector":
             # One fused cache: node n's slice is sets [n*num_sets, (n+1)*num_sets).
-            l2s = [
-                ArrayLRU(num_nodes * cfg.l2.num_sets, cfg.l2.assoc, backend="native")
-            ]
+            l2s = [ArrayLRU(num_nodes * cfg.l2.num_sets, cfg.l2.assoc)]
             if session.counters.enabled:
                 session.counters.inc("walk.compiled", status=native_status())
         else:
@@ -287,7 +267,7 @@ class Simulator:
         page_counts=None,
         session=None,
     ) -> KernelMetrics:
-        """Vectorised launch execution: cached trace + batched array walk.
+        """Vectorised launch execution: cached trace + one walk call.
 
         Eligible launches (see :func:`repro.engine.walk_memo.eligible`)
         first consult the walk memo; a hit skips the walk entirely and
@@ -312,17 +292,6 @@ class Simulator:
         order = _wave_order(lp.tb_nodes, cfg.num_nodes)
 
         counters = self.walk_counters
-        before = {
-            k: counters[k]
-            for k in (
-                "sync_elements",
-                "spec_events",
-                "spec_mispredicts",
-                "spec_rounds",
-                "pred_events",
-                "pred_correct",
-            )
-        }
         memo = self.walk_memo
         if memo is None and memo_enabled():
             memo = default_walk_memo()
@@ -352,8 +321,7 @@ class Simulator:
             ):
                 metrics, xbar, dram, transfers, stats = walk_launch(
                     cfg, launch_index, lp, plan, l2, trace, order, page_counts,
-                    homes=homes, timers=self.stage_times, counters=counters,
-                    session=session,
+                    homes=homes, counters=counters, session=session,
                 )
             if key is not None:
                 memo.put(key, metrics, xbar, dram, transfers, stats)
@@ -361,12 +329,7 @@ class Simulator:
                             ("hits" if memo_status == "hit" else "misses"))] += 1
         reg.inc("walk.memo", outcome=memo_status)
         self.walk_log.append(
-            {
-                "kernel": metrics.kernel,
-                "launch_index": launch_index,
-                "memo": memo_status,
-                **{k: counters[k] - before[k] for k in before},
-            }
+            {"kernel": metrics.kernel, "launch_index": launch_index, "memo": memo_status}
         )
         t2 = time.perf_counter()
         with tr.span("finalize", cat="walk"):

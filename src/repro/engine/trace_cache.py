@@ -32,7 +32,6 @@ instead of cached.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
@@ -41,6 +40,7 @@ import numpy as np
 
 from repro import obs
 from repro.engine.trace import launch_tracer
+from repro.errors import env_int
 from repro.kir.program import KernelLaunch
 from repro.memory.address_space import AddressSpace
 
@@ -370,9 +370,7 @@ class TraceCache:
 
     def __init__(self, max_bytes: Optional[int] = None):
         if max_bytes is None:
-            max_bytes = (
-                int(os.environ.get("REPRO_TRACE_CACHE_MB", "512")) * 1024 * 1024
-            )
+            max_bytes = env_int("REPRO_TRACE_CACHE_MB", 512) * 1024 * 1024
         self.max_bytes = max_bytes
         self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
         self.hits = 0

@@ -58,6 +58,7 @@ from typing import Optional
 import numpy as np
 
 from repro.engine.metrics import KernelMetrics
+from repro.errors import env_int
 
 __all__ = ["WalkMemo", "default_walk_memo", "memo_enabled"]
 
@@ -96,7 +97,7 @@ class WalkMemo:
 
     def __init__(self, max_entries: Optional[int] = None):
         if max_entries is None:
-            max_entries = int(os.environ.get("REPRO_WALK_MEMO_ENTRIES", "256"))
+            max_entries = env_int("REPRO_WALK_MEMO_ENTRIES", 256)
         self.max_entries = max_entries
         self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
         self.hits = 0

@@ -2,8 +2,12 @@
 
 Every error raised deliberately by this package derives from
 :class:`ReproError`, so callers can catch package failures without
-masking programming errors such as ``TypeError``.
+masking programming errors such as ``TypeError``.  :func:`env_int` reads the
+integer ``REPRO_*`` knobs, so a malformed value fails as a
+:class:`ConfigError` naming the variable rather than as a raw traceback.
 """
+
+import os
 
 
 class ReproError(Exception):
@@ -48,3 +52,22 @@ class MetricsError(ReproError):
 
 class WorkloadError(ReproError):
     """Raised when a workload definition is inconsistent with its inputs."""
+
+
+class ConfigError(ReproError):
+    """Raised for a malformed ``REPRO_*`` environment setting."""
+
+
+def env_int(name: str, default: int) -> int:
+    """The non-negative integer in environment variable ``name``, or
+    ``default`` when it is unset or empty."""
+    raw = os.environ.get(name, "")
+    if not raw.strip():
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ConfigError(f"{name}={raw!r} is not a non-negative integer")
+    return value

@@ -1,19 +1,15 @@
-"""Engine performance benchmark: vector and numpy walks vs legacy reference.
+"""Engine performance benchmark: the vector walk vs the legacy reference.
 
-Times a Figure-9 style subset (8 workloads x 6 strategies) in three
-columns -- the ``legacy`` engine, the ``vector`` engine (native launch walk)
-and ``numpy`` (the vector engine inside
-:func:`repro.cache.compiled.forced_fallback`, the no-compiler walk) -- and writes
-``BENCH_perf.json`` with per-stage wall-clock times (trace, walk, finalize,
-plus the numpy walk's ``walk_free``/``walk_sync`` sub-splits), per-workload
-walk-stage speedups, speculation telemetry (``spec_events``,
-``spec_mispredicts``, repair rate per launch -- taken from the ``numpy``
-engine, the only one that speculates) and walk-memo hit counts.  The array
-engines share one trace cache and one walk memo per workload, so each
-(workload, scale) traces once and replays across strategies; the legacy
-engine re-traces per strategy, exactly as it did before the vector engine
-existed.  The speedups are parity-run ratios, not the performance claim
-(that is the perf ledger's absolute wall time).
+Times a Figure-9 style subset (8 workloads x 6 strategies) in two columns
+-- the ``legacy`` engine and the ``vector`` engine (one launch-walk call per
+launch) -- and writes ``BENCH_perf.json`` with per-stage wall-clock times
+(trace, walk, finalize), per-workload walk-stage speedups and walk
+telemetry (home-side bypasses, walk-memo hit counts, a per-launch memo
+log).  The vector engine shares one trace cache and one walk memo per
+workload, so each (workload, scale) traces once and replays across
+strategies; the legacy engine re-traces per strategy, exactly as it did
+before the vector engine existed.  The speedups are parity-run ratios, not
+the performance claim (that is the perf ledger's absolute wall time).
 
 Usage::
 
@@ -34,7 +30,6 @@ scales or machines.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import platform
 import sys
@@ -56,28 +51,15 @@ from repro.workloads.suite import get_workload
 
 __all__ = ["run_bench", "check_gate", "counter_deltas", "main"]
 
-STAGES = ("trace", "walk", "finalize", "walk_free", "walk_sync")
+STAGES = ("trace", "walk", "finalize")
 
 #: Walk-telemetry counters surfaced per workload and in the totals (from
-#: the ``numpy`` engine run).
-COUNTER_KEYS = (
-    "free_accesses",
-    "sync_elements",
-    "sync_events",
-    "spec_events",
-    "spec_mispredicts",
-    "spec_rounds",
-    "pred_events",
-    "pred_correct",
-    "sync_scalar",
-    "sync_fallbacks",
-    "l2_bypass",
-    "walk_memo_hits",
-)
+#: the ``vector`` engine run).
+COUNTER_KEYS = ("l2_bypass", "walk_memo_hits")
 
 #: Telemetry ratios compared against a committed gate file alongside the
 #: walk-speedup gate (informational: printed and stored, never failing).
-DELTA_KEYS = ("walk_memo_hits", "spec_rounds", "spec_mispredicts", "sync_fallbacks")
+DELTA_KEYS = ("walk_memo_hits",)
 
 #: Figure-9 subset: dense GEMM-shaped layers, recurrent cells, a streaming
 #: reduction and a transpose -- the mix the paper sweeps, heavy enough for
@@ -106,15 +88,6 @@ STRATEGIES = [
     "LASP+RONCE",
     "Monolithic",
 ]
-
-#: Workloads whose launches must keep ``repair_rate`` at or below
-#: :data:`REPAIR_RATE_CEILING` under ``--gate`` -- the LSTM/FC set the
-#: locality-seeded predictor is expected to carry (paper Table II's
-#: RCL-dominant layers).
-REPAIR_GATE_WORKLOADS = frozenset(
-    ["lstm1", "lstm2", "alexnet_fc2", "vggnet_fc2", "resnet50_fc"]
-)
-REPAIR_RATE_CEILING = 0.3
 
 #: Cross-scale gate: a smoke run checked against a bench-scale report only
 #: has to clear this walk-stage speedup (wall-clock ratios do not transfer
@@ -161,20 +134,7 @@ def _run_engine(
         for k in COUNTER_KEYS:
             src = "memo_hits" if k == "walk_memo_hits" else k
             counters[k] += sim.walk_counters[src]
-        for entry in sim.walk_log:
-            spec = entry["spec_events"]
-            pred = entry["pred_events"]
-            launch_log.append(
-                {
-                    "strategy": name,
-                    **entry,
-                    "repair_rate": entry["spec_mispredicts"] / spec if spec else 0.0,
-                    "repair_rounds": entry["spec_rounds"],
-                    "pred_accuracy": (
-                        entry["pred_correct"] / pred if pred else None
-                    ),
-                }
-            )
+        launch_log.extend({"strategy": name, **entry} for entry in sim.walk_log)
         if snaps is not None:
             snaps[name] = result.snapshot()
     times["total"] = time.perf_counter() - t0
@@ -187,7 +147,6 @@ def run_bench(
     check_parity: bool,
     verbose: bool = True,
 ) -> dict:
-    engines = ["vector", "numpy"]
     per_workload: Dict[str, dict] = {}
     mismatches: List[str] = []
     # Static-analysis hygiene: time the full lint and the traffic-bound
@@ -225,50 +184,33 @@ def run_bench(
                 "bound_upper_bytes": bounds.upper_bytes,
             },
         }
-        for eng in engines:
-            # The numpy column is the vector engine with the kernel forced off.
-            walk = (
-                native_backend.forced_fallback()
-                if eng == "numpy"
-                else contextlib.nullcontext()
-            )
-            with walk:
-                eng_t, eng_snaps, counters, launch_log = _run_engine(
-                    "vector", compiled, STRATEGIES, check_parity
-                )
-            suffix = "" if eng == "vector" else "_" + eng
-            speedup = legacy_t["total"] / eng_t["total"] if eng_t["total"] else 0.0
-            walk_speedup = (
-                legacy_t["walk"] / eng_t["walk"] if eng_t["walk"] else 0.0
-            )
-            per_workload[wname].update(
-                {
-                    eng: eng_t,
-                    "speedup" + suffix: speedup,
-                    "walk_speedup" + suffix: walk_speedup,
-                }
-            )
-            if eng == "numpy":
-                per_workload[wname]["counters"] = counters
-                per_workload[wname]["launches"] = launch_log
-            if check_parity:
-                for name in STRATEGIES:
-                    if legacy_snaps[name] != eng_snaps[name]:
-                        mismatches.append(f"{wname}/{name}[{eng}]")
+        vec_t, vec_snaps, counters, launch_log = _run_engine(
+            "vector", compiled, STRATEGIES, check_parity
+        )
+        per_workload[wname].update(
+            {
+                "vector": vec_t,
+                "speedup": legacy_t["total"] / vec_t["total"] if vec_t["total"] else 0.0,
+                "walk_speedup": legacy_t["walk"] / vec_t["walk"] if vec_t["walk"] else 0.0,
+                "counters": counters,
+                "launches": launch_log,
+            }
+        )
+        if check_parity:
+            for name in STRATEGIES:
+                if legacy_snaps[name] != vec_snaps[name]:
+                    mismatches.append(f"{wname}/{name}[vector]")
         if verbose:
             w = per_workload[wname]
             flag = ""
             if check_parity:
                 bad = [m for m in mismatches if m.startswith(wname + "/")]
                 flag = "  PARITY-MISMATCH" if bad else "  parity-ok"
-            vec, num = w["vector"], w["numpy"]
             ana = w["analysis"]
             print(
                 f"{wname:<14} legacy={legacy_t['total']:7.2f}s "
-                f"vector={vec['total']:7.2f}s "
+                f"vector={w['vector']['total']:7.2f}s "
                 f"speedup={w['speedup']:5.2f}x walk={w['walk_speedup']:5.2f}x "
-                f"numpy={num['total']:7.2f}s walk={w['walk_speedup_numpy']:5.2f}x "
-                f"[free={num['walk_free']:.2f}s sync={num['walk_sync']:.2f}s] "
                 f"analysis[lint={ana['lint_s']:.2f}s bound={ana['bound_s']:.2f}s]"
                 f"{flag}",
                 flush=True,
@@ -279,7 +221,7 @@ def run_bench(
             s: sum(per_workload[w][eng][s] for w in per_workload)
             for s in STAGES + ("total",)
         }
-        for eng in ["legacy"] + engines
+        for eng in ("legacy", "vector")
     }
     totals["counters"] = {
         k: sum(per_workload[w]["counters"][k] for w in per_workload)
@@ -299,18 +241,13 @@ def run_bench(
         if totals["vector"]["walk"]
         else 0.0
     )
-    overall_numpy = (
-        totals["legacy"]["total"] / totals["numpy"]["total"]
-        if totals["numpy"]["total"]
-        else 0.0
-    )
     return {
         "meta": {
             "scale": scale.name,
             "workloads": workload_names,
             "strategies": STRATEGIES,
             "stages": list(STAGES),
-            "engines": ["legacy"] + engines,
+            "engines": ["legacy", "vector"],
             "native_backend": native_backend.backend_status(),
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -318,15 +255,14 @@ def run_bench(
                 extra={"scale": scale.name, "workloads": workload_names}
             ),
             "note": (
-                "legacy re-traces per strategy; vector and numpy share one "
-                "trace cache per workload, so their trace stage is paid once"
+                "legacy re-traces per strategy; vector shares one trace "
+                "cache per workload, so its trace stage is paid once"
             ),
         },
         "per_workload": per_workload,
         "totals": totals,
         "overall_speedup": overall,
         "overall_walk_speedup": overall_walk,
-        "overall_numpy_speedup": overall_numpy,
         "parity_checked": check_parity,
         "parity_mismatches": mismatches,
     }
@@ -338,11 +274,7 @@ def check_gate(report: dict, gate_path: str) -> List[str]:
     Same-scale: each shared workload's walk-stage speedup -- and the
     overall end-to-end speedup -- must stay within 20% of the committed
     value.  Cross-scale (smoke vs a bench-scale gate file): only the
-    :data:`CROSS_SCALE_SPEEDUP_FLOOR` sanity floor applies.  Independent of
-    scale, every launch of a :data:`REPAIR_GATE_WORKLOADS` workload in the
-    fresh report must keep its speculation ``repair_rate`` at or below
-    :data:`REPAIR_RATE_CEILING` (the rate is a prediction-quality ratio,
-    not a wall-clock figure, so it transfers across machines).  Parity
+    :data:`CROSS_SCALE_SPEEDUP_FLOOR` sanity floor applies.  Parity
     mismatches in the fresh report always fail.
     """
     with open(gate_path) as fh:
@@ -364,15 +296,6 @@ def check_gate(report: dict, gate_path: str) -> List[str]:
                 f"{wname}: walk speedup {cur_su:.2f}x below sanity floor "
                 f"{CROSS_SCALE_SPEEDUP_FLOOR}x"
             )
-        if wname in REPAIR_GATE_WORKLOADS:
-            for entry in cur.get("launches", []):
-                rate = entry.get("repair_rate", 0.0)
-                if rate > REPAIR_RATE_CEILING:
-                    failures.append(
-                        f"{wname}/{entry.get('strategy')} launch "
-                        f"{entry.get('launch_index')}: repair_rate "
-                        f"{rate:.2f} exceeds {REPAIR_RATE_CEILING}"
-                    )
     # End-to-end scalars go through the shared baseline-diff watchdog so
     # `repro regress`, servebench and this gate agree on the arithmetic.
     from repro.obs import regress as obs_regress
@@ -385,12 +308,12 @@ def check_gate(report: dict, gate_path: str) -> List[str]:
 
 
 def counter_deltas(report: dict, gate_path: str) -> Dict[str, dict]:
-    """Telemetry deltas vs a committed report (memo hits, repair rounds...).
+    """Telemetry deltas vs a committed report (walk-memo hits).
 
     Informational, never a failure: counter totals shift legitimately with
-    scale and workload set, but a silent collapse of the memo hit count or a
-    spike in repair rounds is exactly the regression the walk-speedup gate
-    can miss when wall-clock noise hides it.  Tolerates gate files written
+    scale and workload set, but a silent collapse of the memo hit count is
+    exactly the regression the walk-speedup gate can miss when wall-clock
+    noise hides it.  Tolerates gate files written
     before a counter existed (the committed value reads as 0 -> ratio None).
     """
     with open(gate_path) as fh:
@@ -446,9 +369,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"\noverall: legacy {report['totals']['legacy']['total']:.2f}s, "
         f"vector {report['totals']['vector']['total']:.2f}s "
         f"-> {report['overall_speedup']:.2f}x total, "
-        f"{report['overall_walk_speedup']:.2f}x walk, "
-        f"numpy {report['totals']['numpy']['total']:.2f}s "
-        f"-> {report['overall_numpy_speedup']:.2f}x; analysis lint={ana['lint_s']:.2f}s "
+        f"{report['overall_walk_speedup']:.2f}x walk; "
+        f"analysis lint={ana['lint_s']:.2f}s "
         f"bound={ana['bound_s']:.2f}s (informational)  (wrote {args.output})"
     )
     status = 0

@@ -71,7 +71,7 @@ class MatrixResult:
     #: results[workload][strategy] -> RunResult
     results: Dict[str, Dict[str, RunResult]] = field(default_factory=dict)
     #: stage_times[workload] -> simulator wall-clock splits summed over the
-    #: workload's strategies ({trace, walk, finalize, walk_free, walk_sync}).
+    #: workload's strategies ({trace, walk, finalize}).
     #: One workload is one worker job, so in a parallel run this is the
     #: per-worker time breakdown.
     stage_times: Dict[str, Dict[str, float]] = field(default_factory=dict)

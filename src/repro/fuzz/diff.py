@@ -13,9 +13,9 @@ For each generated program the runner:
    * the legacy scalar walk,
    * the vector walk (the native launch kernel when a C compiler is
      reachable; with the obs byte-reconciliation session attached),
-   * the numpy walk (the vector engine inside
-     :func:`~repro.cache.compiled.forced_fallback`, so the no-compiler
-     free/sync/speculative path stays covered),
+   * the mirror walk (the vector engine inside
+     :func:`~repro.cache.compiled.forced_fallback`, so the kernel's
+     Python mirror -- the no-compiler path -- stays covered),
    * the memoised vector walk **twice** against one shared
      :class:`~repro.engine.walk_memo.WalkMemo` (second run replays hits
      when the launch is memo-eligible),
@@ -329,18 +329,18 @@ def _check_strategy(
         return 2  # memo runs against a broken vector walk add no signal
 
     with forced_fallback():
-        numpy_run, _ = _run(
+        mirror_run, _ = _run(
             program, compiled, strategy_name, config, "vector", trace_cache, no_memo
         )
-    snap_numpy = numpy_run.snapshot()
-    if snap_numpy != snap_vector:
-        launch, detail = _first_divergence(snap_vector, snap_numpy)
+    snap_mirror = mirror_run.snapshot()
+    if snap_mirror != snap_vector:
+        launch, detail = _first_divergence(snap_vector, snap_mirror)
         failures.append(
             DiffFailure(
                 kind="engine-parity",
                 strategy=strategy_name,
                 launch_index=launch,
-                message=f"vector vs numpy diverge: {detail}",
+                message=f"vector vs mirror diverge: {detail}",
             )
         )
 

@@ -3,14 +3,14 @@
 Runs a workload under a set of strategies with a fresh, enabled
 observability session, then prints a text flame summary of where
 wall-clock went (classify -> LASP decide -> placement -> schedule ->
-per-launch walk, including speculative-replay rounds and memo/trace-cache
-probes) and optionally writes:
+per-launch walk call, including memo/trace-cache probes) and optionally
+writes:
 
 * ``--trace out.json`` -- a Chrome trace-event / Perfetto JSON trace
   (open it at https://ui.perfetto.dev or in ``chrome://tracing``),
 * ``--counters out.json`` -- the structured counter snapshot (per-link
   bytes, per-node L2 hit/miss/bypass, insertion and scheduler decisions,
-  repair-round histograms, cache/memo hit rates).
+  walk backend, cache/memo hit rates).
 
 The workload spec is either a plain workload name (profiled under the
 default ``run`` strategy trio) or ``fig9:<workload>``, which profiles the

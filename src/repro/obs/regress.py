@@ -66,7 +66,7 @@ class RegressSpec:
 
 
 #: ``repro bench`` scalars (BENCH_perf.json).  Per-workload walk speedups
-#: and repair rates stay in :func:`repro.experiments.benchperf.check_gate`
+#: stay in :func:`repro.experiments.benchperf.check_gate`
 #: (they are keyed by workload name, not a fixed path); the end-to-end
 #: scalars are gated here.
 PERF_SPECS = (

@@ -62,14 +62,13 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.engine.result_store import ResultStore
 from repro.engine.resultio import run_to_doc
+from repro.errors import env_int
 from repro.obs import slo as obs_slo
 from repro.obs.metrics import summarize_histogram
 from repro.obs.tracer import trace_context
 from repro.serve.query import Query, batch_digest, execute_query, query_digest
 
 __all__ = ["QueryServer", "ServerThread", "validate_stats", "main"]
-
-_MEMORY_TIER_ENTRIES = int(os.environ.get("REPRO_SERVE_CACHE_ENTRIES", "512"))
 
 TELEMETRY_SCHEMA = "repro-serve-telemetry-v1"
 
@@ -177,7 +176,7 @@ class QueryServer:
         store_dir: Optional[str] = None,
         store_max_bytes: Optional[int] = None,
         batch_window_s: float = 0.005,
-        memory_entries: int = _MEMORY_TIER_ENTRIES,
+        memory_entries: Optional[int] = None,
         trace_sample: int = 0,
         slo_specs: Optional[List[obs_slo.SLOSpec]] = None,
         telemetry_every_s: float = 0.0,
@@ -202,6 +201,8 @@ class QueryServer:
             else None
         )
         self._memory: "OrderedDict[str, Dict]" = OrderedDict()
+        if memory_entries is None:
+            memory_entries = env_int("REPRO_SERVE_CACHE_ENTRIES", 512)
         self._memory_entries = memory_entries
         self._inflight: Dict[str, asyncio.Future] = {}
         self._pending: Dict[str, List[_PendingItem]] = {}

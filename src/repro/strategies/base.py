@@ -105,7 +105,6 @@ class Strategy(abc.ABC):
                         cache_policy=decision.cache_policy,
                         scheduler_desc=decision.scheduler_desc,
                         placement_desc=decision.placement_desc,
-                        dominant_locality=decision.dominant_locality,
                     )
                 )
 

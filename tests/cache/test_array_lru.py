@@ -4,8 +4,11 @@ The vector engine's correctness rests on :class:`ArrayLRU` being a bit-exact
 twin of :class:`SectoredCache` -- same hit/miss outcome for every access,
 same eviction victims, same LRU recency order, including the insert-bypass
 (RONCE home-side) path.  These properties drive random streams through both
-and compare everything observable.
+and compare everything observable, on both walk legs: the default one (the
+C kernel when it loads) and the Python mirror (``forced_fallback()``).
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import ArrayLRU, SectoredCache
+from repro.cache.compiled import forced_fallback
 from repro.errors import SimulationError
 
 GEOMETRIES = st.tuples(
@@ -36,234 +40,120 @@ def _lru_orders(dict_cache: SectoredCache):
     return [list(s.keys()) for s in dict_cache._sets]
 
 
+def _walk_stream(arr: ArrayLRU, stream):
+    """One walk call over a requester-only stream; returns the hit list."""
+    sectors = np.array([s for s, _ in stream], dtype=np.int64)
+    sets = sectors % arr.num_sets
+    yes = np.ones(sectors.size, dtype=bool)
+    inserts = np.array([i for _, i in stream], dtype=bool)
+    hits, _ = arr.walk(np.arange(sectors.size), sectors, sets, sets, yes, inserts, yes)
+    return hits.tolist()
+
+
+#: Walk legs every scalar test runs on: the default one (the C kernel when
+#: it loads, else the mirror) and the Python mirror.
+LEGS = (contextlib.nullcontext, forced_fallback)
+
+
 class TestScalarParity:
     @given(geometry=GEOMETRIES, stream=STREAMS)
     @settings(max_examples=200, deadline=None)
     def test_access_stream_parity(self, geometry, stream):
         sets, ways = geometry
-        ref = SectoredCache(sets, ways)
-        arr = ArrayLRU(sets, ways)
-        for sector, insert in stream:
-            assert ref.access(sector, insert_on_miss=insert) == arr.access(
-                sector, insert_on_miss=insert
-            )
-        assert ref.accesses == arr.accesses
-        assert ref.hits == arr.hits
-        assert ref.occupancy == arr.occupancy
-        assert np.array_equal(ref.resident_sectors(), arr.resident_sectors())
-        for s in range(sets):
-            assert _lru_orders(ref)[s] == arr.lru_order(s).tolist()
+        for leg in LEGS:
+            ref = SectoredCache(sets, ways)
+            arr = ArrayLRU(sets, ways)
+            with leg():
+                for sector, insert in stream:
+                    assert ref.access(sector, insert_on_miss=insert) == arr.access(
+                        sector, insert_on_miss=insert
+                    )
+            assert arr.clock == len(stream)
+            assert ref.occupancy == arr.occupancy
+            assert np.array_equal(ref.resident_sectors(), arr.resident_sectors())
+            for s in range(sets):
+                assert _lru_orders(ref)[s] == arr.lru_order(s).tolist()
 
     @given(geometry=GEOMETRIES, stream=STREAMS)
     @settings(max_examples=100, deadline=None)
     def test_flush_mid_stream(self, geometry, stream):
         sets, ways = geometry
-        ref = SectoredCache(sets, ways)
-        arr = ArrayLRU(sets, ways)
         half = len(stream) // 2
-        for sector, insert in stream[:half]:
-            ref.access(sector, insert_on_miss=insert)
-            arr.access(sector, insert_on_miss=insert)
-        ref.flush()
-        arr.flush()
-        assert arr.occupancy == 0
-        for sector, insert in stream[half:]:
-            assert ref.access(sector, insert_on_miss=insert) == arr.access(
-                sector, insert_on_miss=insert
-            )
-        assert np.array_equal(ref.resident_sectors(), arr.resident_sectors())
+        for leg in LEGS:
+            ref = SectoredCache(sets, ways)
+            arr = ArrayLRU(sets, ways)
+            with leg():
+                for sector, insert in stream[:half]:
+                    ref.access(sector, insert_on_miss=insert)
+                    arr.access(sector, insert_on_miss=insert)
+                ref.flush()
+                arr.flush()
+                assert arr.occupancy == 0
+                for sector, insert in stream[half:]:
+                    assert ref.access(sector, insert_on_miss=insert) == arr.access(
+                        sector, insert_on_miss=insert
+                    )
+            assert np.array_equal(ref.resident_sectors(), arr.resident_sectors())
 
 
 class TestBatchParity:
-    @given(geometry=GEOMETRIES, stream=STREAMS)
-    @settings(max_examples=200, deadline=None)
-    def test_probe_batch_equals_sequential(self, geometry, stream):
-        """One probe_batch call == the same accesses one at a time."""
-        sets, ways = geometry
-        ref = SectoredCache(sets, ways)
-        arr = ArrayLRU(sets, ways)
-        sectors = np.array([s for s, _ in stream], dtype=np.int64)
-        inserts = np.array([i for _, i in stream], dtype=bool)
-        hits = arr.probe_batch(sectors, sectors % sets, inserts)
-        ref_hits = [ref.access(s, insert_on_miss=i) for s, i in stream]
-        assert hits.tolist() == ref_hits
-        assert np.array_equal(ref.resident_sectors(), arr.resident_sectors())
-        for s in range(sets):
-            assert _lru_orders(ref)[s] == arr.lru_order(s).tolist()
-
     @given(
         geometry=GEOMETRIES,
         chunks=st.lists(STREAMS, min_size=1, max_size=5),
     )
     @settings(max_examples=50, deadline=None)
     def test_chunked_batches_compose(self, geometry, chunks):
-        """Splitting a stream across probe_batch calls changes nothing."""
+        """Splitting a stream across walk calls == one access at a time."""
         sets, ways = geometry
-        ref = SectoredCache(sets, ways)
-        arr = ArrayLRU(sets, ways)
-        for stream in chunks:
-            sectors = np.array([s for s, _ in stream], dtype=np.int64)
-            inserts = np.array([i for _, i in stream], dtype=bool)
-            hits = arr.probe_batch(sectors, sectors % sets, inserts)
-            ref_hits = [ref.access(s, insert_on_miss=i) for s, i in stream]
-            assert hits.tolist() == ref_hits
-        assert np.array_equal(ref.resident_sectors(), arr.resident_sectors())
-
-
-class TestReplaySegments:
-    @given(geometry=GEOMETRIES, stream=STREAMS)
-    @settings(max_examples=100, deadline=None)
-    def test_same_outcomes_as_probe_batch_but_stats_neutral(
-        self, geometry, stream
-    ):
-        """replay_segments mutates state like probe_batch, counts nothing."""
-        sets, ways = geometry
-        a = ArrayLRU(sets, ways)
-        b = ArrayLRU(sets, ways)
-        sectors = np.array([s for s, _ in stream], dtype=np.int64)
-        gsets = sectors % sets
-        inserts = np.array([i for _, i in stream], dtype=bool)
-        hits_probe = a.probe_batch(sectors, gsets, inserts)
-        hits_replay = b.replay_segments(sectors, gsets, inserts)
-        assert hits_replay.tolist() == hits_probe.tolist()
-        assert np.array_equal(a.tags, b.tags)
-        for s in range(sets):
-            assert a.lru_order(s).tolist() == b.lru_order(s).tolist()
-        assert a.accesses == len(stream) and a.hits == int(hits_probe.sum())
-        assert b.accesses == 0 and b.hits == 0
-
-    @given(geometry=GEOMETRIES, stream=STREAMS)
-    @settings(max_examples=100, deadline=None)
-    def test_save_restore_rows_roundtrip(self, geometry, stream):
-        """restore_rows rewinds touched sets exactly; others untouched."""
-        sets, ways = geometry
-        arr = ArrayLRU(sets, ways)
-        half = len(stream) // 2
-        for sector, insert in stream[:half]:  # arbitrary pre-state
-            arr.access(sector, insert_on_miss=insert)
-        before = [arr.lru_order(s).tolist() for s in range(sets)]
-        touched = np.unique(
-            np.array([s for s, _ in stream[half:]], dtype=np.int64) % sets
-        )
-        saved = arr.save_rows(touched)
-        for sector, insert in stream[half:]:
-            arr.replay_segments(
-                np.array([sector], dtype=np.int64),
-                np.array([sector % sets], dtype=np.int64),
-                np.array([insert], dtype=bool),
-            )
-        arr.restore_rows(touched, saved)
-        assert [arr.lru_order(s).tolist() for s in range(sets)] == before
-
-
-ALL_INSERT_STREAMS = st.lists(
-    st.integers(min_value=0, max_value=40),  # sector; insert always True
-    min_size=2,
-    max_size=200,
-)
-
-
-class TestAllInsertStackPath:
-    """The stack-property fast path for all-insert colliding batches.
-
-    ``_probe_stack`` replaces the per-round loop whenever every access
-    fills on miss; it must match both the sequential reference model and
-    the round loop it shadows, including warm state carried across calls.
-    """
-
-    @given(geometry=GEOMETRIES, stream=ALL_INSERT_STREAMS)
-    @settings(max_examples=200, deadline=None)
-    def test_parity_with_sequential_model(self, geometry, stream):
-        sets, ways = geometry
-        ref = SectoredCache(sets, ways)
-        arr = ArrayLRU(sets, ways)
-        sectors = np.array(stream, dtype=np.int64)
-        inserts = np.ones(len(stream), dtype=bool)
-        hits = arr.probe_batch(sectors, sectors % sets, inserts)
-        ref_hits = [ref.access(s) for s in stream]
-        assert hits.tolist() == ref_hits
-        assert np.array_equal(ref.resident_sectors(), arr.resident_sectors())
-        for s in range(sets):
-            assert _lru_orders(ref)[s] == arr.lru_order(s).tolist()
-
-    @given(
-        geometry=GEOMETRIES,
-        chunks=st.lists(ALL_INSERT_STREAMS, min_size=2, max_size=4),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_matches_round_loop_with_warm_state(self, geometry, chunks):
-        """Stack path == round loop: hits, residents, recency, stamps."""
-        sets, ways = geometry
-        class RoundsOnly(ArrayLRU):  # force the round loop
-            __slots__ = ()
-
-            def _probe_stack(self, *args):
-                return None
-
-        fast = ArrayLRU(sets, ways)
-        slow = RoundsOnly(sets, ways)
-        for stream in chunks:
-            sectors = np.array(stream, dtype=np.int64)
-            inserts = np.ones(len(stream), dtype=bool)
-            h_fast = fast.probe_batch(sectors, sectors % sets, inserts)
-            h_slow = slow.probe_batch(sectors, sectors % sets, inserts)
-            assert h_fast.tolist() == h_slow.tolist()
-        assert np.array_equal(
-            fast.resident_sectors(), slow.resident_sectors()
-        )
-        for s in range(sets):
-            assert fast.lru_order(s).tolist() == slow.lru_order(s).tolist()
-            # Stamps must agree way-for-sector (not way layout): the sync
-            # walk snapshots/restores raw rows around speculative replays.
-            for sector in fast.lru_order(s):
-                fw = int(np.nonzero(fast.tags[s] == sector)[0][0])
-                sw = int(np.nonzero(slow.tags[s] == sector)[0][0])
-                assert fast.stamp[s, fw] == slow.stamp[s, sw]
-
-    def test_window_budget_falls_back_to_rounds(self, monkeypatch):
-        monkeypatch.setattr(ArrayLRU, "_STACK_WINDOW_BUDGET", 0)
-        ref = SectoredCache(2, 2)
-        arr = ArrayLRU(2, 2)
-        stream = [0, 2, 4, 6, 0, 2, 4, 6, 1, 3, 5, 1]
-        sectors = np.array(stream, dtype=np.int64)
-        hits = arr.probe_batch(
-            sectors, sectors % 2, np.ones(len(stream), dtype=bool)
-        )
-        assert hits.tolist() == [ref.access(s) for s in stream]
-        assert np.array_equal(ref.resident_sectors(), arr.resident_sectors())
+        for leg in LEGS:
+            ref = SectoredCache(sets, ways)
+            arr = ArrayLRU(sets, ways)
+            for stream in chunks:
+                ref_hits = [ref.access(s, insert_on_miss=i) for s, i in stream]
+                with leg():
+                    assert _walk_stream(arr, stream) == ref_hits
+            assert np.array_equal(ref.resident_sectors(), arr.resident_sectors())
+            for s in range(sets):
+                assert _lru_orders(ref)[s] == arr.lru_order(s).tolist()
 
 
 class TestBasics:
     def test_empty_batch(self):
-        arr = ArrayLRU(4, 2)
-        out = arr.probe_batch(
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=bool),
-        )
-        assert out.size == 0 and arr.accesses == 0
+        e = np.empty(0, dtype=np.int64)
+        b = np.empty(0, dtype=bool)
+        for leg in LEGS:
+            arr = ArrayLRU(4, 2)
+            with leg():
+                req_hit, home_hit = arr.walk(e, e, e, e, b, b, b)
+            assert req_hit.size == home_hit.size == 0 and arr.clock == 0
 
     def test_bypass_does_not_fill(self):
-        arr = ArrayLRU(4, 2)
-        assert not arr.access(10, insert_on_miss=False)
-        assert not arr.access(10, insert_on_miss=False)
-        assert arr.occupancy == 0
+        for leg in LEGS:
+            arr = ArrayLRU(4, 2)
+            with leg():
+                assert not arr.access(10, insert_on_miss=False)
+                assert not arr.access(10, insert_on_miss=False)
+            assert arr.occupancy == 0
 
     def test_eviction_order(self):
-        arr = ArrayLRU(1, 2)
-        arr.access(0)
-        arr.access(1)
-        arr.access(0)  # 0 is MRU
-        arr.access(2)  # evicts 1
-        assert arr.contains(0) and arr.contains(2) and not arr.contains(1)
+        for leg in LEGS:
+            arr = ArrayLRU(1, 2)
+            with leg():
+                arr.access(0)
+                arr.access(1)
+                arr.access(0)  # 0 is MRU
+                arr.access(2)  # evicts 1
+            assert arr.contains(0) and arr.contains(2) and not arr.contains(1)
 
     def test_contains_no_state_change(self):
-        arr = ArrayLRU(4, 2)
-        arr.access(10)
-        before = (arr.accesses, arr.stamp.copy())
-        assert arr.contains(10) and not arr.contains(11)
-        assert arr.accesses == before[0]
-        assert np.array_equal(arr.stamp, before[1])
+        for leg in LEGS:
+            arr = ArrayLRU(4, 2)
+            with leg():
+                arr.access(10)
+            before = (arr.clock, arr.stamp.copy())
+            assert arr.contains(10) and not arr.contains(11)
+            assert arr.clock == before[0]
+            assert np.array_equal(arr.stamp, before[1])
 
     def test_invalid_geometry(self):
         with pytest.raises(SimulationError):

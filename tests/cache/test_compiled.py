@@ -1,15 +1,17 @@
-"""The native launch-walk kernel and its numpy fallback.
+"""The launch-walk kernel, its Python mirror and the no-compiler fallback.
 
 The kernel (``repro.cache.compiled``) is built with the system C compiler
-on first use.  Parity tests drive it through :meth:`ArrayLRU.walk_native`
-against the numpy probe paths and the legacy engine's ``OrderedDict`` set
-model.  Fallback tests hide the compiler or the cache directory, or force
-the fallback, and require the vector engine to keep producing
-legacy-identical snapshots.  Trust tests plant cache directories and
-objects another local user could have written and require that none of
+on first use; without one, :func:`compiled.walk` runs ``_walk_py``, the
+kernel's line-for-line Python mirror.  Parity tests drive both legs through
+:meth:`ArrayLRU.walk` against the legacy engine's ``OrderedDict`` set model
+and against each other.  Fallback tests hide the compiler or the cache
+directory, or force the fallback, and require the vector engine to keep
+producing legacy-identical snapshots.  Trust tests plant cache directories
+and objects another local user could have written and require that none of
 them is loaded.
 """
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -19,47 +21,120 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import compiled
-from repro.cache.array_lru import BACKENDS, ArrayLRU
+from repro.cache import ArrayLRU, SectoredCache, compiled
 from repro.errors import SimulationError
-from tests.engine.test_sync_replay_property import (
-    GEOMETRIES,
-    WARMUPS,
-    _columns,
-    _oracle,
-    _warmed_lru,
-)
 
 needs_native = pytest.mark.skipif(
     compiled.backend_status() != "native",
     reason=f"native kernel unavailable: {compiled.fallback_reason()}",
 )
 
+#: The two walk legs: the C kernel (needs a compiler) and the Python mirror.
+LEGS = [
+    pytest.param(contextlib.nullcontext, id="kernel", marks=needs_native),
+    pytest.param(compiled.forced_fallback, id="mirror"),
+]
 
-def _native(num_sets, assoc):
-    return ArrayLRU(num_sets, assoc, backend="native")
+
+# ----------------------------------------------------------------------
+# Stream generation and the OrderedDict oracle
+# ----------------------------------------------------------------------
+GEOMETRIES = st.tuples(
+    st.integers(min_value=2, max_value=3),  # nodes
+    st.integers(min_value=2, max_value=4),  # sets per node
+    st.integers(min_value=2, max_value=3),  # ways
+)
+
+# Warm-up stream: (sector, node) requester inserts applied before the walk,
+# so it starts from non-trivial tag/stamp state.
+WARMUPS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=2),
+    ),
+    max_size=60,
+)
+
+# Accesses: (sector, node, home, req_ins, home_ins).  A small sector
+# universe forces reuse, hits, evictions and set collisions.
+ACCESS_STREAMS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.booleans(),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=150,
+)
 
 
-def _kernel_probe(lru: ArrayLRU, sectors, sets, insert):
-    """Drive the kernel as a plain requester probe (every access local)."""
+def _columns(elements, num_sets):
+    sec = np.array([e[0] for e in elements], dtype=np.int64)
+    node = np.array([e[1] for e in elements], dtype=np.int64)
+    home = np.array([e[2] for e in elements], dtype=np.int64)
+    req_ins = np.array([e[3] for e in elements], dtype=bool)
+    home_ins = np.array([e[4] for e in elements], dtype=bool)
+    local = home == node
+    req_set = node * num_sets + sec % num_sets
+    home_set = home * num_sets + sec % num_sets
+    return sec, local, req_ins, home_ins, req_set, home_set
+
+
+def _warmed_lru(num_nodes, num_sets, assoc, warm):
+    l2 = ArrayLRU(num_nodes * num_sets, assoc)
+    if warm:
+        sec = np.array([s for s, _ in warm], dtype=np.int64)
+        sets = np.array([n % num_nodes for _, n in warm]) * num_sets + sec % num_sets
+        yes = np.ones(sec.size, dtype=bool)
+        l2.walk(np.arange(sec.size), sec, sets, sets, yes, yes, yes)
+    return l2
+
+
+def _dict_touch(d, sec, insert, assoc):
+    """One OrderedDict set operation exactly as the legacy walk does it."""
+    if sec in d:
+        d.move_to_end(sec)
+        return True
+    if insert:
+        d[sec] = None
+        if len(d) > assoc:
+            d.popitem(last=False)
+    return False
+
+
+def _oracle(num_nodes, num_sets, assoc, warm, elements, order):
+    """Warm-up, then ``elements`` visited in ``order``, through per-node
+    SectoredCaches: the legacy engine's inner loop.  Returns the caches and
+    element-aligned ``(req_hit, home_present, home_hit)``."""
+    caches = [SectoredCache(num_sets, assoc) for _ in range(num_nodes)]
+    for sec, node in warm:
+        node %= num_nodes
+        _dict_touch(caches[node]._sets[sec % num_sets], sec, True, assoc)
+    K = len(elements)
+    req_hit = np.zeros(K, dtype=bool)
+    home_present = np.zeros(K, dtype=bool)
+    home_hit = np.zeros(K, dtype=bool)
+    for k in order:
+        sec, node, home, req_ins, home_ins = elements[k]
+        req_hit[k] = _dict_touch(caches[node]._sets[sec % num_sets], sec, req_ins, assoc)
+        if req_hit[k] or home == node:
+            continue
+        home_present[k] = True
+        home_hit[k] = _dict_touch(caches[home]._sets[sec % num_sets], sec, home_ins, assoc)
+    return caches, (req_hit, home_present, home_hit)
+
+
+def _requester_walk(lru: ArrayLRU, sectors, sets, insert):
+    """Drive the walk as a plain requester probe (every access local)."""
     n = sectors.size
     ones = np.ones(n, dtype=bool)
-    hit, home_hit = lru.walk_native(
+    hit, home_hit = lru.walk(
         np.arange(n, dtype=np.int64), sectors, sets, sets, ones, insert, ones
     )
     assert not home_hit.any()
     return hit
-
-
-def _random_batch(rng, n, num_sets, sector_space, all_insert=False):
-    sectors = rng.integers(0, sector_space, size=n).astype(np.int64)
-    sets = sectors % num_sets
-    insert = (
-        np.ones(n, dtype=bool)
-        if all_insert
-        else rng.random(n) < 0.8
-    )
-    return sectors, sets, insert
 
 
 def _assert_equivalent(a: ArrayLRU, b: ArrayLRU):
@@ -88,29 +163,13 @@ def _assert_fallback():
     """No kernel, and the vector engine still matches the legacy walk."""
     assert compiled.backend_status() == "fallback"
     assert compiled.fallback_reason()
-    assert ArrayLRU(4, 2, backend="native").backend == "numpy"
+    assert compiled.load() is None
     assert _snapshots("vector", "conv", "H-CODA") == _snapshots(
         "legacy", "conv", "H-CODA"
     )
 
 
 class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError):
-            ArrayLRU(4, 2, backend="cuda")
-
-    def test_backends_registry(self):
-        assert BACKENDS == ("numpy", "native")
-
-    def test_backend_property_reflects_availability(self):
-        c = ArrayLRU(4, 2, backend="native")
-        if compiled.backend_status() == "native":
-            assert c.backend == "native"
-            assert compiled.fallback_reason() == ""
-        else:
-            assert c.backend == "numpy"
-        assert ArrayLRU(4, 2).backend == "numpy"
-
     def test_import_never_builds(self):
         """The kernel is resolved on first use, never at import."""
         code = "import repro.cli, repro.cache.compiled as c; print(c._STATE)"
@@ -128,132 +187,114 @@ class TestBackendSelection:
             assert compiled.load() is None
             assert compiled.backend_status() == "fallback"
             assert "forced_fallback" in compiled.fallback_reason()
-            assert ArrayLRU(4, 2, backend="native").backend == "numpy"
         assert (compiled.backend_status(), compiled.fallback_reason()) == before
-
-    def test_walk_native_needs_the_kernel(self):
-        one = np.zeros(1, dtype=np.int64)
-        yes = np.ones(1, dtype=bool)
-        args = (one, one, one, one, yes, yes, yes)
-        with pytest.raises(SimulationError, match="backend='native'"):
-            ArrayLRU(2, 2).walk_native(*args)
-        with compiled.forced_fallback(), pytest.raises(SimulationError):
-            _native(2, 2).walk_native(*args)
 
 
 @needs_native
 class TestSequentialKernelParity:
-    """The native kernel vs the numpy round/stack/single probe paths."""
+    """The native kernel vs its Python mirror and the dict model."""
 
     def test_mixed_insert_random_streams(self):
+        """Kernel and mirror agree on outcomes *and* raw state: the same
+        victim way, the same stamps and the same clock after every call."""
         rng = np.random.default_rng(7)
-        ref = ArrayLRU(16, 4)
-        seq = _native(16, 4)
+        num_nodes, num_sets = 2, 8
+        native = ArrayLRU(num_nodes * num_sets, 4)
+        mirror = ArrayLRU(num_nodes * num_sets, 4)
         for _ in range(40):
             n = int(rng.integers(1, 200))
-            sectors, sets, insert = _random_batch(rng, n, 16, 300)
-            hit_ref = ref.probe_batch(sectors, sets, insert)
-            hit_seq = _kernel_probe(seq, sectors, sets, insert)
-            np.testing.assert_array_equal(hit_ref, hit_seq)
-        _assert_equivalent(ref, seq)
-
-    def test_all_insert_stack_path(self):
-        """Batches that drive the numpy stack-property path."""
-        rng = np.random.default_rng(11)
-        ref = ArrayLRU(8, 4)
-        seq = _native(8, 4)
-        for _ in range(10):
-            # heavy per-set collision depth, all-insert -> _probe_stack
-            sectors, sets, insert = _random_batch(
-                rng, 600, 8, 64, all_insert=True
-            )
-            hit_ref = ref.probe_batch(sectors, sets, insert)
-            hit_seq = _kernel_probe(seq, sectors, sets, insert)
-            np.testing.assert_array_equal(hit_ref, hit_seq)
-        _assert_equivalent(ref, seq)
+            elements = [
+                (int(sec), int(node), int(home), bool(ri), bool(hi))
+                for sec, node, home, ri, hi in zip(
+                    rng.integers(0, 300, n), rng.integers(0, num_nodes, n),
+                    rng.integers(0, num_nodes, n), rng.random(n) < 0.8,
+                    rng.random(n) < 0.5,
+                )
+            ]
+            cols = _columns(elements, num_sets)
+            sec, local, req_ins, home_ins, req_set, home_set = cols
+            order = rng.permutation(n)
+            args = (order, sec, req_set, home_set, local, req_ins, home_ins)
+            got_native = native.walk(*args)
+            with compiled.forced_fallback():
+                got_mirror = mirror.walk(*args)
+            for a, b in zip(got_native, got_mirror):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(native.tags, mirror.tags)
+            np.testing.assert_array_equal(native.stamp, mirror.stamp)
+            assert native.clock == mirror.clock
 
     def test_single_element_batches(self):
-        ref = ArrayLRU(4, 2)
-        seq = _native(4, 2)
+        native = ArrayLRU(4, 2)
+        mirror = ArrayLRU(4, 2)
         for sector in [0, 4, 0, 8, 12, 4, 0, 16, 8]:
-            one = np.array([sector], dtype=np.int64)
-            assert ref.access(sector) == bool(
-                _kernel_probe(seq, one, one % 4, np.array([True]))[0]
-            )
-        _assert_equivalent(ref, seq)
+            with compiled.forced_fallback():
+                want = mirror.access(sector)
+            assert native.access(sector) == want
+        _assert_equivalent(native, mirror)
 
     def test_eviction_order_matches(self):
         """Fill one set past capacity; victims must match exactly."""
-        ref = ArrayLRU(1, 2)
-        seq = _native(1, 2)
+        ref = SectoredCache(1, 2)
+        seq = ArrayLRU(1, 2)
         stream = np.array([1, 2, 3, 1, 2, 3, 3, 2, 1], dtype=np.int64)
-        hits = _kernel_probe(seq, stream, np.zeros_like(stream), np.ones(9, bool))
+        hits = _requester_walk(seq, stream, np.zeros_like(stream), np.ones(9, bool))
         assert [ref.access(int(s)) for s in stream] == hits.tolist()
-        _assert_equivalent(ref, seq)
+        assert list(ref._sets[0].keys()) == seq.lru_order(0).tolist()
 
     def test_order_permutes_visits_not_outputs(self):
         """Outcomes land at each access's own index, whatever the order."""
         sectors = np.array([5, 5, 9], dtype=np.int64)
         sets = np.zeros(3, dtype=np.int64)
         ones = np.ones(3, dtype=bool)
-        c = _native(1, 2)
-        hit, _ = c.walk_native(
+        c = ArrayLRU(1, 2)
+        hit, _ = c.walk(
             np.array([2, 1, 0], dtype=np.int64), sectors, sets, sets, ones, ones, ones
         )
         assert hit.tolist() == [True, False, False]
 
     def test_bad_indices_rejected_before_the_kernel_runs(self):
-        c = _native(2, 2)
         idx = np.array([0, 1], dtype=np.int64)
         ones = np.ones(2, dtype=bool)
-        for order, sets, flags in (
-            (np.array([0, 2]), idx, ones),  # order past the stream
-            (idx, np.array([0, 2]), ones),  # set past the table
-            (idx, np.array([-1, 0]), ones),  # negative set
-            (idx, idx, ones[:1]),  # ragged flag column
-        ):
-            with pytest.raises(SimulationError):
-                c.walk_native(order, idx, sets, sets, flags, flags, flags)
-        assert c.occupancy == 0
+        for leg in (contextlib.nullcontext, compiled.forced_fallback):
+            c = ArrayLRU(2, 2)
+            for order, sets, flags in (
+                (np.array([0, 2]), idx, ones),  # order past the stream
+                (idx, np.array([0, 2]), ones),  # set past the table
+                (idx, np.array([-1, 0]), ones),  # negative set
+                (idx, idx, ones[:1]),  # ragged flag column
+            ):
+                with leg(), pytest.raises(SimulationError):
+                    c.walk(order, idx, sets, sets, flags, flags, flags)
+            assert c.occupancy == 0
 
 
-# Requester-only elements: (sector, node, home, req_ins, home_ins).
-REQUESTER_STREAMS = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=30),
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=2),
-        st.booleans(),
-        st.booleans(),
-    ),
-    min_size=1,
-    max_size=150,
-)
-
-
-@needs_native
 class TestKernelProperty:
+    @pytest.mark.parametrize("leg", LEGS)
     @given(
         geometry=GEOMETRIES,
-        raw=REQUESTER_STREAMS,
+        raw=ACCESS_STREAMS,
         warm=st.one_of(st.just([]), WARMUPS),
+        data=st.data(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_kernel_matches_ordered_dict_oracle(self, geometry, raw, warm):
+    def test_kernel_matches_ordered_dict_oracle(self, leg, geometry, raw, warm, data):
         num_nodes, num_sets, assoc = geometry
         elements = [
-            (sec, node % num_nodes, home % num_nodes, False, req_ins, home_ins)
+            (sec, node % num_nodes, home % num_nodes, req_ins, home_ins)
             for sec, node, home, req_ins, home_ins in raw
         ]
-        l2 = _warmed_lru(num_nodes, num_sets, assoc, warm, backend="native")
-        sec, _, _, _, local, req_ins, home_ins, req_set, home_set = _columns(
-            elements, num_sets
-        )
-        req_hit, home_hit = l2.walk_native(
-            np.arange(sec.size, dtype=np.int64), sec, req_set, home_set,
-            local, req_ins, home_ins,
-        )
-        caches, masks, _, _, _ = _oracle(num_nodes, num_sets, assoc, warm, elements)
+        # Visit order differs from index order: outcomes must still land at
+        # each access's own index.
+        order = data.draw(st.permutations(range(len(elements))), label="order")
+        sec, local, req_ins, home_ins, req_set, home_set = _columns(elements, num_sets)
+        with leg():
+            l2 = _warmed_lru(num_nodes, num_sets, assoc, warm)
+            req_hit, home_hit = l2.walk(
+                np.array(order, dtype=np.int64), sec, req_set, home_set,
+                local, req_ins, home_ins,
+            )
+        caches, masks = _oracle(num_nodes, num_sets, assoc, warm, elements, order)
         want_req, want_present, want_home = masks
         assert req_hit.tolist() == want_req.tolist()
         assert (~(local | req_hit)).tolist() == want_present.tolist()
@@ -267,13 +308,13 @@ class TestKernelProperty:
 
 
 class TestCompiledEngine:
-    """The vector engine end to end: native walk, forced numpy walk, legacy."""
+    """The vector engine end to end: native walk, forced mirror, legacy."""
 
     def test_snapshot_matches_vector(self):
         native = _snapshots("vector")
         with compiled.forced_fallback():
-            numpy_walk = _snapshots("vector")
-        assert native == numpy_walk == _snapshots("legacy")
+            mirror = _snapshots("vector")
+        assert native == mirror == _snapshots("legacy")
 
     def test_engine_registered(self):
         from repro.engine.simulator import ENGINES
@@ -282,7 +323,7 @@ class TestCompiledEngine:
 
 
 class TestFallback:
-    """No compiler, a failing build or no writable cache: numpy, same answers."""
+    """No compiler, a failing build or no writable cache: mirror, same answers."""
 
     def test_missing_compiler(self, monkeypatch):
         monkeypatch.setattr(compiled, "_STATE", None)

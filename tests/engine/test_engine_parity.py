@@ -1,7 +1,7 @@
 """Bit-exact parity between the array engines and the legacy reference walk.
 
-The vector engine's native launch walk and its numpy fallback (the
-free/sync/speculative walk, forced here with ``forced_fallback()``) are pure
+The vector engine's native launch walk and its Python mirror (the
+no-compiler fallback, forced here with ``forced_fallback()``) are pure
 performance refactors: every reported metric (byte counts,
 traffic-class splits, fault counts, per-launch times) must be *identical*
 to the per-sector legacy walk, not approximately equal.  This
@@ -27,7 +27,7 @@ from repro.workloads.base import TEST
 from repro.workloads.suite import all_workloads, get_workload
 
 # (strategy, config kind) pairs covering every engine code path: heavy
-# remote traffic (RR), fully-local fast path (Batch+FT), locality-optimised
+# remote traffic (RR), mostly-local first touch (Batch+FT), locality-optimised
 # placement (LADM/H-CODA), RONCE insert bypass, and the flushless
 # monolithic configuration.
 PAIRS = [
@@ -62,7 +62,7 @@ def test_engines_bit_exact(wname):
             _config(kind),
             engine="legacy",
         )
-        for label, walk in (("vector", nullcontext), ("numpy", forced_fallback)):
+        for label, walk in (("vector", nullcontext), ("mirror", forced_fallback)):
             with walk():
                 run = simulate(
                     workload.program(TEST),

@@ -2,11 +2,11 @@
 
 import numpy as np
 
-from repro.cache.compiled import forced_fallback
 from repro.compiler.passes import compile_program
 from repro.engine.simulator import Simulator
 from repro.engine.walk_memo import WalkMemo, default_walk_memo, memo_enabled
 from repro.experiments.runner import strategy_by_name
+from repro.obs import ObsSession
 from repro.topology.config import bench_hierarchical, bench_monolithic
 from repro.workloads.base import TEST
 from repro.workloads.suite import get_workload
@@ -16,8 +16,8 @@ def _compiled(name="vecadd"):
     return compile_program(get_workload(name).program(TEST))
 
 
-def _run(compiled, strategy_name, config, memo, profile_pages=False):
-    sim = Simulator(config, engine="vector", walk_memo=memo)
+def _run(compiled, strategy_name, config, memo, profile_pages=False, session=None):
+    sim = Simulator(config, engine="vector", walk_memo=memo, obs_session=session)
     plan = strategy_by_name(strategy_name).plan(compiled, sim.topology)
     result = sim.run(compiled, plan, profile_pages=profile_pages)
     return sim, result
@@ -27,24 +27,27 @@ def _snapshots(result):
     return [k.snapshot() for k in result.kernels]
 
 
+def _walk_spans(session):
+    return sum(ev["name"] == "native_walk" for ev in session.tracer.events())
+
+
 class TestMemoHits:
     def test_identical_rerun_hits_and_stays_exact(self):
         compiled = _compiled("lstm1")
         cfg = bench_hierarchical()
         memo = WalkMemo()
-        # The numpy walk, whose probe telemetry shows a walk really ran.
-        with forced_fallback():
-            sim1, r1 = _run(compiled, "LADM", cfg, memo)
-            sim2, r2 = _run(compiled, "LADM", cfg, memo)
+        # Traced sessions: a native_walk span shows a walk really ran.
+        s1, s2 = ObsSession(enabled=True), ObsSession(enabled=True)
+        sim1, r1 = _run(compiled, "LADM", cfg, memo, session=s1)
+        sim2, r2 = _run(compiled, "LADM", cfg, memo, session=s2)
         assert sim1.walk_counters["memo_hits"] == 0
         assert sim1.walk_counters["memo_misses"] == len(r1.kernels)
-        assert sim1.walk_counters["free_accesses"] > 0
+        assert _walk_spans(s1) > 0
         assert sim2.walk_counters["memo_hits"] == len(r2.kernels)
         assert sim2.walk_counters["memo_misses"] == 0
         assert _snapshots(r1) == _snapshots(r2)
-        # A hit skips the walk: no probes, no sync telemetry.
-        assert sim2.walk_counters["free_accesses"] == 0
-        assert sim2.walk_counters["sync_elements"] == 0
+        # A hit skips the walk: no native_walk span at all.
+        assert _walk_spans(s2) == 0
         assert all(e["memo"] == "hit" for e in sim2.walk_log)
 
     def test_hits_cross_simulators_via_shared_memo(self):

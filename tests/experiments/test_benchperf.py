@@ -40,12 +40,11 @@ class TestRunBench:
         assert smoke_report["parity_checked"]
         assert smoke_report["parity_mismatches"] == []
 
-    def test_launch_log_has_repair_rates(self, smoke_report):
+    def test_launch_log_has_memo_status(self, smoke_report):
         launches = smoke_report["per_workload"]["vecadd"]["launches"]
         assert launches, "vector engine must log every launch"
         for entry in launches:
             assert entry["strategy"] in STRATEGIES
-            assert 0.0 <= entry["repair_rate"] <= 1.0
             assert entry["memo"] in ("hit", "miss", "ineligible")
 
     def test_report_is_json_serialisable(self, smoke_report, tmp_path):

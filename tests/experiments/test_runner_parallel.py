@@ -157,7 +157,7 @@ class TestSeededMatrix:
         assert set(res.results) == {"vecadd"}
 
 
-STAGE_KEYS = {"trace", "walk", "finalize", "walk_free", "walk_sync"}
+STAGE_KEYS = {"trace", "walk", "finalize"}
 
 
 class TestStageTimes:

@@ -2,7 +2,7 @@
 
 The ISSUE's acceptance criterion: profiling a Fig-9 workload must produce a
 Perfetto-loadable trace whose span tree covers classify -> LASP decide ->
-placement -> schedule -> walk (with replay-round child spans), and a
+placement -> schedule -> walk (with the launch-walk child span), and a
 counters file whose per-link inter-GPU byte totals sum exactly to
 ``RunResult.total_inter_gpu_bytes``.
 """
@@ -12,7 +12,6 @@ import json
 import pytest
 
 from repro import obs
-from repro.cache.compiled import forced_fallback
 from repro.engine.walk_memo import default_walk_memo
 from repro.obs.counters import parse_key
 from repro.obs.export import validate_counters, validate_trace
@@ -23,14 +22,10 @@ from repro.experiments.runner import scale_by_name
 
 
 @pytest.fixture()
-def fresh_obs_state(monkeypatch):
-    """Force the numpy walk with the speculative array replay (guaranteeing
-    repair-round spans) and clear the process-wide walk memo (so walks
-    actually run)."""
-    monkeypatch.setenv("REPRO_SYNC_REPLAY", "array")
+def fresh_obs_state():
+    """Clear the process-wide walk memo (so walks actually run)."""
     default_walk_memo().clear()
-    with forced_fallback():
-        yield
+    yield
     obs.disable()
 
 
@@ -40,7 +35,7 @@ REQUIRED_PATH_SUFFIXES = [
     ("plan", "placement"),
     ("plan", "schedule"),
     ("run", "launch", "walk"),
-    ("run", "launch", "walk", "sync_replay", "repair_round"),
+    ("run", "launch", "walk", "native_walk"),
     ("run", "launch", "finalize"),
 ]
 
@@ -95,7 +90,7 @@ class TestRunProfile:
         assert validate_trace(trace) == []
         names = {ev["name"] for ev in trace["traceEvents"] if ev["ph"] == "X"}
         assert {"classify", "lasp.decide", "placement", "schedule",
-                "walk", "repair_round"} <= names
+                "walk", "native_walk"} <= names
 
         counters = json.loads(counters_path.read_text())
         assert validate_counters(counters) == []
