@@ -1,13 +1,22 @@
-"""The launch-walk kernel of :class:`~repro.cache.array_lru.ArrayLRU`.
+"""The native kernels: the launch walk of :class:`~repro.cache.array_lru.ArrayLRU`
+and the per-threadblock L1 filter in front of it.
 
 The simulator's answer is one sequential walk over the fused L2 sets:
 probe the requester set, and on a miss of a remotely homed access probe
-the home set too, filling per the RTWICE/RONCE insert masks.  That walk is
-``_SOURCE``, ~30 lines of C, and :func:`_walk_py`, its line-for-line Python
-mirror -- the no-compiler fallback and the kernel's executable spec.
+the home set too, filling per the RTWICE/RONCE insert masks.  Only the
+accesses that miss each threadblock's L1 reach that walk.  ``_SOURCE``
+holds both loops as C, ~60 lines: ``walk`` and ``l1_filter`` (an
+always-insert, fully associative LRU per threadblock over dense sector
+ids).  :func:`_walk_py` is the walk's line-for-line Python mirror -- the
+no-compiler fallback and the kernel's executable spec; the filter's
+fallback and spec is the trace's sequential filter
+(``LaunchTrace._compute_survivors_sequential``), so :func:`l1_filter`
+raises instead of falling back.
 
-The kernel is built with the system C compiler on first use (never at
-import) and loaded through :mod:`ctypes`, so it adds no Python dependency.
+Both functions live in one source, so there is one shared object, one
+digest, one trust check and one fallback decision.  It is built with the
+system C compiler on first use (never at import) and loaded through
+:mod:`ctypes`, so it adds no Python dependency.
 The shared object is cached under a digest of source, flags and platform in
 this package's ``__pycache__`` (falling back to a per-user ``0700`` temp
 directory), written through a same-directory temp file and ``os.replace``
@@ -42,7 +51,9 @@ import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["backend_status", "fallback_reason", "forced_fallback", "load", "walk"]
+__all__ = [
+    "backend_status", "fallback_reason", "forced_fallback", "l1_filter", "load", "walk",
+]
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -83,6 +94,44 @@ int64_t walk(int64_t n, const int64_t *order, int64_t assoc, int64_t clock,
     }
     return clock;
 }
+
+/* The per-threadblock L1 filter: an always-insert, fully associative LRU
+   of `capacity` entries over dense ids.  TB t's stream is
+   ids[tb_off[t]..tb_off[t+1]); miss[i] is set when ids[i] is not resident
+   (outputs arrive zeroed).  Residents form a doubly linked list, most
+   recent first, through the prev/next scratch arrays; `in` marks them.
+   A TB's list is cleared at its end, so `in` is all-zero for the next. */
+void l1_filter(int64_t ntb, const int64_t *tb_off, const int64_t *ids,
+               int64_t capacity, int64_t *prev, int64_t *next, uint8_t *in,
+               uint8_t *miss)
+{
+    for (int64_t t = 0; t < ntb; t++) {
+        int64_t head = -1, tail = -1, size = 0;
+        for (int64_t i = tb_off[t]; i < tb_off[t + 1]; i++) {
+            int64_t s = ids[i];
+            if (s == head) continue;
+            if (in[s]) {  /* unlink; s is not the head, so prev[s] >= 0 */
+                next[prev[s]] = next[s];
+                if (next[s] >= 0) prev[next[s]] = prev[s]; else tail = prev[s];
+            } else {
+                miss[i] = 1;
+                in[s] = 1;
+                if (size == capacity) {  /* evict the least recent */
+                    in[tail] = 0;
+                    tail = prev[tail];
+                    if (tail >= 0) next[tail] = -1; else head = -1;
+                } else {
+                    size++;
+                }
+            }
+            prev[s] = -1;
+            next[s] = head;
+            if (head >= 0) prev[head] = s; else tail = s;
+            head = s;
+        }
+        for (int64_t s = head; s >= 0; s = next[s]) in[s] = 0;
+    }
+}
 """
 
 #: Compiler looked up on ``PATH``; no ``-march=native``, so a cached object
@@ -90,8 +139,8 @@ int64_t walk(int64_t n, const int64_t *order, int64_t assoc, int64_t clock,
 _CC = "cc"
 _FLAGS = ("-O2", "-shared", "-fPIC")
 
-#: ``(kernel or None, status, reason)`` once :func:`load` has run.
-_STATE: Optional[Tuple[Optional[Callable], str, str]] = None
+#: ``(library or None, status, reason)`` once :func:`load` has run.
+_STATE: Optional[Tuple[Optional[ctypes.CDLL], str, str]] = None
 _LOCK = threading.Lock()
 
 #: True inside :func:`forced_fallback` (per thread and task context).
@@ -188,16 +237,19 @@ def _build(cc: str) -> Tuple[Optional[str], str]:
     return None, "; ".join(reasons) or "no cache directory"
 
 
-def _bind(path: str) -> Callable:
-    fn = ctypes.CDLL(path).walk
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64] + [
-        ctypes.c_void_p
-    ] * 10
-    return fn
+def _bind(path: str) -> ctypes.CDLL:
+    """The loaded library with both kernels' signatures set (ctypes keeps
+    one function object per symbol, so they stick)."""
+    lib = ctypes.CDLL(path)
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.walk.restype = i64
+    lib.walk.argtypes = [i64, ptr, i64, i64] + [ptr] * 10
+    lib.l1_filter.restype = None
+    lib.l1_filter.argtypes = [i64, ptr, ptr, i64] + [ptr] * 4
+    return lib
 
 
-def _resolve() -> Tuple[Optional[Callable], str, str]:
+def _resolve() -> Tuple[Optional[ctypes.CDLL], str, str]:
     if not hasattr(os, "getuid"):
         return None, "fallback", "cache ownership cannot be checked on this platform"
     cc = shutil.which(_CC)
@@ -212,7 +264,7 @@ def _resolve() -> Tuple[Optional[Callable], str, str]:
         return None, "fallback", f"load failed: {exc}"
 
 
-def _state() -> Tuple[Optional[Callable], str, str]:
+def _state() -> Tuple[Optional[ctypes.CDLL], str, str]:
     global _STATE
     if _FORCED.get():
         return None, "fallback", "forced_fallback() is active"
@@ -223,8 +275,9 @@ def _state() -> Tuple[Optional[Callable], str, str]:
     return _STATE
 
 
-def load() -> Optional[Callable]:
-    """The kernel's ctypes function, building it on first call; None on fallback."""
+def load() -> Optional[ctypes.CDLL]:
+    """The kernels' ctypes library (``.walk``, ``.l1_filter``), building it
+    on first call; None on fallback."""
     return _state()[0]
 
 
@@ -302,8 +355,8 @@ def walk(
     for a, bound in ((ints[0], n), (ints[2], num_sets), (ints[3], num_sets)):
         if a.size and (a.min() < 0 or a.max() >= bound):
             raise SimulationError("walk kernel index out of range")
-    kernel = load()
-    if kernel is None:
+    lib = load()
+    if lib is None:
         t, st = tags.ravel().tolist(), stamp.ravel().tolist()
         o, s, rs, hs = (a.tolist() for a in ints)
         lo, ri, hi = (a.tolist() for a in flags)
@@ -323,9 +376,46 @@ def walk(
     home_hit = np.zeros(n, dtype=np.bool_)
     o, s, rs, hs = (a.ctypes.data for a in ints)
     lo, ri, hi = (a.ctypes.data for a in flags)
-    clock = kernel(
+    clock = lib.walk(
         ints[0].size, o, assoc, clock, tags.ctypes.data,
         stamp.ctypes.data, s, rs, hs, lo, ri, hi,
         req_hit.ctypes.data, home_hit.ctypes.data,
     )
     return req_hit, home_hit, int(clock)
+
+
+def l1_filter(
+    ids: np.ndarray, tb_offsets: np.ndarray, nids: int, capacity: int
+) -> np.ndarray:
+    """Miss mask of the per-TB L1 filter over dense ``ids`` in ``[0, nids)``.
+
+    Threadblock ``t`` owns ``ids[tb_offsets[t]:tb_offsets[t + 1]]``; each
+    TB's filter starts empty.  Every input is checked here, before the
+    kernel sees a pointer: ids in range, offsets non-decreasing from 0 to
+    ``ids.size``, ``capacity >= 1``.  The kernel has no mirror in this
+    module: with no kernel loaded this raises, and the caller runs its own
+    sequential filter (``LaunchTrace._compute_survivors_sequential``).
+    """
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    offs = np.ascontiguousarray(tb_offsets, dtype=np.int64)
+    n, nids, capacity = ids.size, int(nids), int(capacity)
+    if capacity < 1:
+        raise SimulationError(f"L1 filter capacity must be >= 1, got {capacity}")
+    if offs.ndim != 1 or offs.size < 1 or offs[0] != 0 or offs[-1] != n:
+        raise SimulationError("L1 filter offsets must run from 0 to the stream length")
+    if (np.diff(offs) < 0).any():
+        raise SimulationError("L1 filter offsets must be non-decreasing")
+    if nids < 0 or n and (ids.min() < 0 or ids.max() >= nids):
+        raise SimulationError("L1 filter id out of range")
+    lib = load()
+    if lib is None:
+        raise SimulationError(f"L1 filter kernel unavailable: {fallback_reason()}")
+    prev = np.empty(nids, dtype=np.int64)
+    nxt = np.empty(nids, dtype=np.int64)
+    resident = np.zeros(nids, dtype=np.uint8)
+    miss = np.zeros(n, dtype=np.bool_)
+    lib.l1_filter(
+        offs.size - 1, offs.ctypes.data, ids.ctypes.data, capacity,
+        prev.ctypes.data, nxt.ctypes.data, resident.ctypes.data, miss.ctypes.data,
+    )
+    return miss

@@ -20,7 +20,9 @@ legacy walk visits them), with an ``offsets`` table slicing out any
 * lazily computed **L1 survivor masks** per filter capacity: the per-TB L1
   sector filter is an always-insert fully-associative LRU, so its outcome is
   a pure function of the TB's own stream and can be precomputed once and
-  shared by every strategy,
+  shared by every strategy (by the native ``l1_filter`` kernel of
+  :mod:`repro.cache.compiled` over dense sector ids, or without a compiler
+  by the sequential Python filter),
 * lazily computed set-index arrays per L2 geometry (``sector % num_sets``).
 
 Cache keys are ``(id(program), launch_index, sector_bytes, page_size)``; the
@@ -39,12 +41,18 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
+from repro.cache import compiled
 from repro.engine.trace import launch_tracer
 from repro.errors import env_int
 from repro.kir.program import KernelLaunch
 from repro.memory.address_space import AddressSpace
 
 __all__ = ["LaunchTrace", "TraceCache", "default_trace_cache"]
+
+#: Dense ids come from ``sectors - min`` while the id range is at most this
+#: many times the stream length (it held on every Fig-9 bench trace; the
+#: widest was 327,677 ids), and from ``np.unique`` beyond it.
+_DENSE_RANGE_FACTOR = 4
 
 
 class LaunchTrace:
@@ -119,82 +127,45 @@ class LaunchTrace:
         """Mask of sectors that *miss* the per-TB L1 filter, per capacity.
 
         The L1 sector filter is a fully-associative always-insert LRU over
-        each threadblock's own stream, so hit/miss is strategy-independent:
-        a reference hits iff fewer than ``capacity`` distinct other sectors
-        were touched by the same TB since its previous reference (the classic
-        LRU stack property).  Computed once per capacity and reused by every
-        replay of this trace.
+        each threadblock's own stream, so hit/miss is strategy-independent.
+        Computed once per capacity (an ``l1_filter`` span) and reused by
+        every replay of this trace.
         """
         mask = self._survivors.get(capacity)
         if mask is None:
-            mask = self._compute_survivors(capacity)
+            with obs.current().tracer.span(
+                "l1_filter", cat="trace", sectors=self.total_sectors,
+                capacity=capacity,
+            ):
+                mask = self._compute_survivors(capacity)
             self._survivors[capacity] = mask
         return mask
 
     def _compute_survivors(self, capacity: int) -> np.ndarray:
-        """Vectorised miss mask via the LRU stack property.
+        """The filter through the native kernel over dense sector ids.
 
-        LRU is a stack algorithm: a reference hits iff the number of
-        *distinct* sectors its TB touched since the same sector's previous
-        reference is below the filter capacity -- no cache state needed.
-        Previous occurrences come from one lexsort; a window shorter than
-        the capacity cannot hold ``capacity`` distinct sectors, so only the
-        (rare) wide-window references need an exact distinct count.
+        Ids are ``sectors - min`` while that range stays within a few times
+        the stream length (the kernel's scratch arrays are sized to it),
+        else one ``np.unique`` inverse.  Without a loaded kernel the
+        sequential filter runs instead.
         """
-        n = self.sectors.size
-        if n == 0:
-            return np.empty(0, dtype=bool)
-        trip = self.trip
-        lengths = np.diff(self.offsets)
-        tbids = np.repeat(
-            np.repeat(np.arange(self.num_threadblocks, dtype=np.int64), trip),
-            lengths,
-        )
         sec = self.sectors
-        # Stable (tb, sector) grouping: equal keys keep stream order, so the
-        # predecessor inside a run is the previous reference of that sector.
-        # A fused single key sorts ~3x faster than a two-key lexsort; fall
-        # back to lexsort only if the key product would overflow int64.
-        smax = int(sec.max()) if n else 0
-        if self.num_threadblocks * trip * (smax + 1) < (1 << 62):
-            perm = np.argsort(tbids * (smax + 1) + sec, kind="stable")
+        if sec.size == 0:
+            return np.empty(0, dtype=bool)
+        if compiled.load() is None:
+            return self._compute_survivors_sequential(capacity)
+        lo = int(sec.min())
+        nids = int(sec.max()) - lo + 1
+        if nids <= _DENSE_RANGE_FACTOR * sec.size:
+            ids = sec - lo
         else:
-            perm = np.lexsort((sec, tbids))
-        ps, pt = sec[perm], tbids[perm]
-        same = np.zeros(n, dtype=bool)
-        same[1:] = (ps[1:] == ps[:-1]) & (pt[1:] == pt[:-1])
-        prev = np.full(n, -1, dtype=np.int64)
-        rep = np.nonzero(same)[0]
-        prev[perm[rep]] = perm[rep - 1]
-        miss = prev < 0
-        win = np.arange(n, dtype=np.int64) - prev - 1
-        ambiguous = np.nonzero(~miss & (win >= capacity))[0]
-        if ambiguous.size:
-            if int(win[ambiguous].sum()) > 50_000_000:
-                # Pathological reuse pattern: exact-count windows would cost
-                # more than replaying the filter sequentially.
-                return self._compute_survivors_sequential(capacity)
-            # Distinct sectors in a window = references whose own previous
-            # occurrence predates the window (first-in-window).  Gather all
-            # windows into one flat stream tagged with their query id and
-            # count first-in-window refs with a single compare + bincount.
-            starts = prev[ambiguous] + 1
-            lens = win[ambiguous]
-            prefix = np.zeros(lens.size, dtype=np.int64)
-            np.cumsum(lens[:-1], out=prefix[1:])
-            reps = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
-            flat = (
-                starts[reps]
-                + np.arange(int(lens.sum()), dtype=np.int64)
-                - prefix[reps]
-            )
-            first_in = prev[flat] <= prev[ambiguous][reps]
-            cnt = np.bincount(reps[first_in], minlength=lens.size)
-            miss[ambiguous[cnt >= capacity]] = True
-        return miss
+            uniq, ids = np.unique(sec, return_inverse=True)
+            nids = uniq.size
+        return compiled.l1_filter(ids, self.offsets[:: self.trip], nids, capacity)
 
     def _compute_survivors_sequential(self, capacity: int) -> np.ndarray:
-        """Reference per-TB walk (fallback and parity oracle for tests)."""
+        """Per-TB filter in Python: the no-compiler fallback and the
+        kernel's parity oracle in tests."""
         survive = np.empty(self.sectors.size, dtype=bool)
         trip = self.trip
         for tb in range(self.num_threadblocks):

@@ -112,6 +112,10 @@ class SystemConfig:
         if self.kind in (TopologyKind.FLAT_XBAR, TopologyKind.FLAT_RING):
             if self.chiplets_per_gpu != 1:
                 raise TopologyError(f"{self.kind} requires chiplets_per_gpu == 1")
+        if self.l1_filter_sectors < 1:
+            raise TopologyError(
+                f"l1_filter_sectors must be >= 1, got {self.l1_filter_sectors}"
+            )
 
     @property
     def num_nodes(self) -> int:

@@ -1,8 +1,10 @@
 """The launch-walk kernel, its Python mirror and the no-compiler fallback.
 
-The kernel (``repro.cache.compiled``) is built with the system C compiler
-on first use; without one, :func:`compiled.walk` runs ``_walk_py``, the
-kernel's line-for-line Python mirror.  Parity tests drive both legs through
+The kernels (``repro.cache.compiled``: the launch walk and the per-TB L1
+filter, one shared object) are built with the system C compiler on first
+use; without one, :func:`compiled.walk` runs ``_walk_py``, the walk's
+line-for-line Python mirror.  (The L1 filter's parity tests live in
+``tests/engine/test_trace_cache.py``.)  Parity tests drive both legs through
 :meth:`ArrayLRU.walk` against the legacy engine's ``OrderedDict`` set model
 and against each other.  Fallback tests hide the compiler or the cache
 directory, or force the fallback, and require the vector engine to keep
@@ -374,6 +376,7 @@ class TestCacheTrust:
         monkeypatch.setattr(compiled, "_STATE", None)
         monkeypatch.setattr(compiled, "_cache_dirs", lambda: [str(d) for d in dirs])
 
+    @needs_native  # without a compiler the reason reads "no C compiler"
     def test_world_writable_dir_is_skipped(self, monkeypatch, tmp_path):
         shared = tmp_path / "shared"
         shared.mkdir()
@@ -401,6 +404,7 @@ class TestCacheTrust:
         _assert_fallback()
         assert os.listdir(foreign) == []
 
+    @needs_native
     @pytest.mark.parametrize("plant", ["group-writable", "symlink"])
     def test_planted_object_is_never_loaded(self, monkeypatch, tmp_path, plant):
         cache = tmp_path / "cache"

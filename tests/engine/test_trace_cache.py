@@ -1,5 +1,6 @@
-"""The per-launch trace cache and the vectorised L1 survivor filter."""
+"""The per-launch trace cache and the per-TB L1 survivor filter."""
 
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -7,13 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.cache import compiled
 from repro.engine.simulator import Simulator, simulate
-from repro.engine.trace_cache import LaunchTrace, TraceCache, _lru_filter_misses
+from repro.engine.trace_cache import (
+    _DENSE_RANGE_FACTOR,
+    LaunchTrace,
+    TraceCache,
+    _lru_filter_misses,
+)
+from repro.errors import SimulationError
 from repro.experiments.runner import strategy_by_name
 from repro.kir.kernel import Dim2, IndirectAccess, Kernel, data_var
 from repro.kir.program import Program
+from repro.obs import ObsSession
 from repro.topology.config import bench_hierarchical
 
+from tests.cache.test_compiled import LEGS
 from tests.conftest import make_gemm_program
 
 
@@ -154,8 +165,42 @@ def _synthetic_trace(block_streams, trip=1):
     return trace
 
 
+def _legs():
+    """The filter legs this host can run: the native kernel when it loaded,
+    and always the sequential Python filter (under a forced fallback)."""
+    legs = [compiled.forced_fallback]
+    if compiled.backend_status() == "native":
+        legs.insert(0, contextlib.nullcontext)
+    return legs
+
+
+def _per_tb_lru(trace, capacity):
+    """Third oracle: ``_lru_filter_misses`` over each TB's whole stream, with
+    no footprint-fits shortcut."""
+    out = np.zeros(trace.total_sectors, dtype=bool)
+    for tb in range(trace.num_threadblocks):
+        start = trace.offsets[tb * trace.trip]
+        stop = trace.offsets[(tb + 1) * trace.trip]
+        if stop > start:
+            inv = np.unique(trace.sectors[start:stop], return_inverse=True)[1]
+            out[start:stop] = _lru_filter_misses(inv, capacity)
+    return out
+
+
+def _assert_filter_agrees(trace, capacity, leg):
+    """``_compute_survivors`` under ``leg`` == the sequential filter == the
+    per-TB ``OrderedDict`` oracle; returns the mask."""
+    with leg():
+        got = trace._compute_survivors(capacity)
+    want = trace._compute_survivors_sequential(capacity)
+    assert got.dtype == bool and got.shape == trace.sectors.shape
+    assert got.tolist() == want.tolist()
+    assert got.tolist() == _per_tb_lru(trace, capacity).tolist()
+    return got
+
+
 class TestSurvivorFilter:
-    """The vectorised stack-property filter vs the sequential oracle."""
+    """The native per-TB filter and its sequential fallback vs the oracle."""
 
     @given(
         streams=st.lists(
@@ -168,9 +213,8 @@ class TestSurvivorFilter:
     @settings(max_examples=300, deadline=None)
     def test_matches_sequential_oracle(self, streams, capacity):
         trace = _synthetic_trace(streams)
-        vec = trace._compute_survivors(capacity)
-        seq = trace._compute_survivors_sequential(capacity)
-        assert np.array_equal(vec, seq)
+        for leg in _legs():
+            _assert_filter_agrees(trace, capacity, leg)
 
     @given(
         streams=st.lists(
@@ -186,16 +230,17 @@ class TestSurvivorFilter:
         if len(streams) % 2:
             streams = streams + [[]]
         trace = _synthetic_trace(streams, trip=2)
-        vec = trace._compute_survivors(capacity)
-        seq = trace._compute_survivors_sequential(capacity)
-        assert np.array_equal(vec, seq)
+        for leg in _legs():
+            _assert_filter_agrees(trace, capacity, leg)
 
     def test_filter_isolated_per_threadblock(self):
         """One TB's stream never warms another TB's filter."""
-        trace = _synthetic_trace([[5, 5], [5, 5]])
-        miss = trace.survivors(capacity=4)
-        # Each TB's first touch of 5 misses; its second hits.
-        assert miss.tolist() == [True, False, True, False]
+        for leg in _legs():
+            trace = _synthetic_trace([[5, 5], [5, 5]])
+            with leg():
+                miss = trace.survivors(capacity=4)
+            # Each TB's first touch of 5 misses; its second hits.
+            assert miss.tolist() == [True, False, True, False]
 
     def test_oracle_lru_filter(self):
         """The dense-id LRU helper behaves like an OrderedDict filter."""
@@ -206,3 +251,89 @@ class TestSurvivorFilter:
         assert out.tolist() == [True, True, True, True, True, False]
         out = _lru_filter_misses(stream, 3)
         assert out.tolist() == [True, True, True, False, True, False]
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_sparse_ids_use_unique_inverse(self, leg):
+        """Sector ids spread far wider than the stream take the np.unique
+        id path; the masks must not notice."""
+        rng = np.random.default_rng(3)
+        streams = [(rng.integers(0, 9, 50) * 10**9 + 7).tolist() for _ in range(3)]
+        trace = _synthetic_trace(streams)
+        span = int(trace.sectors.max() - trace.sectors.min()) + 1
+        assert span > _DENSE_RANGE_FACTOR * trace.total_sectors
+        for capacity in (1, 3, 9):
+            _assert_filter_agrees(trace, capacity, leg)
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_capacity_one(self, leg):
+        """One entry: only an immediate repeat hits."""
+        trace = _synthetic_trace([[4, 4, 6, 4, 4, 6, 6]])
+        miss = _assert_filter_agrees(trace, 1, leg)
+        assert miss.tolist() == [True, False, True, True, False, True, False]
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_footprint_equal_to_capacity(self, leg):
+        """A footprint that exactly fills the filter never evicts; one more
+        distinct sector turns the cycle into all misses."""
+        fits = _synthetic_trace([[1, 2, 3, 1, 2, 3, 3, 1]])
+        assert _assert_filter_agrees(fits, 3, leg).tolist() == [True] * 3 + [False] * 5
+        over = _synthetic_trace([[1, 2, 3, 4, 1, 2, 3, 4]])
+        assert _assert_filter_agrees(over, 3, leg).tolist() == [True] * 8
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_filter_spans_iterations(self, leg):
+        """trip = 3: a TB's filter carries over its iteration blocks, and the
+        next TB starts cold."""
+        trace = _synthetic_trace([[1, 2], [1], [3, 2], [2], [], [2, 1]], trip=3)
+        miss = _assert_filter_agrees(trace, 2, leg)
+        # TB 0: 1 hits across iterations; 3 evicts 2, so 2 misses again.
+        assert miss.tolist() == [True, True, False, True, True, True, False, True]
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_empty_threadblock_stream(self, leg):
+        """A TB with no accesses (first, middle or last) is skipped cleanly."""
+        trace = _synthetic_trace([[], [7, 8, 7], [], [8, 8], []])
+        miss = _assert_filter_agrees(trace, 2, leg)
+        assert miss.tolist() == [True, True, False, True, False]
+        with leg():
+            assert _synthetic_trace([[], []])._compute_survivors(2).size == 0
+
+    @pytest.mark.parametrize("leg", LEGS)
+    @pytest.mark.parametrize(
+        "ids, offsets, nids, capacity, match",
+        [
+            ([0, 1, 2], [0, 2, 1, 3], 3, 2, "non-decreasing"),
+            ([0, 1, 2], [1, 3], 3, 2, "from 0"),
+            ([0, 1, 2], [0, 2], 3, 2, "from 0"),
+            ([0, 1, 3], [0, 3], 3, 2, "out of range"),
+            ([0, -1, 2], [0, 3], 3, 2, "out of range"),
+            ([0, 1, 2], [0, 3], 3, 0, "capacity"),
+        ],
+        ids=["decreasing", "late-start", "short", "id-past-range",
+             "negative-id", "capacity-0"],
+    )
+    def test_bad_inputs_rejected(self, leg, ids, offsets, nids, capacity, match):
+        """Every input is checked before the kernel is looked up, so both
+        legs reject the same inputs with the same typed error."""
+        with leg(), pytest.raises(SimulationError, match=match):
+            compiled.l1_filter(np.array(ids), np.array(offsets), nids, capacity)
+
+    def test_kernel_unavailable_is_typed(self):
+        with compiled.forced_fallback(), pytest.raises(SimulationError, match="unavailable"):
+            compiled.l1_filter(np.zeros(2, np.int64), np.array([0, 2]), 1, 1)
+
+    def test_first_computation_is_a_span(self):
+        """The filter books an ``l1_filter`` span (cat ``trace``) the first time
+        a capacity is asked for, and none when the mask is reused."""
+        trace = _synthetic_trace([[1, 2, 1], [3]])
+        before = obs.current()
+        session = obs.install(ObsSession(enabled=True))
+        try:
+            trace.survivors(2)
+            trace.survivors(2)
+            trace.survivors(1)
+        finally:
+            obs.install(before)
+        spans = [ev for ev in session.tracer.events() if ev["name"] == "l1_filter"]
+        assert [(ev["cat"], ev["args"]["capacity"], ev["args"]["sectors"])
+                for ev in spans] == [("trace", 2, 4), ("trace", 1, 4)]

@@ -54,6 +54,12 @@ class TestSystemConfig:
                 name="bad", kind=TopologyKind.FLAT_XBAR, num_gpus=4, chiplets_per_gpu=2
             )
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_l1_filter_size_must_be_positive(self, size):
+        with pytest.raises(TopologyError, match="l1_filter_sectors"):
+            paper_hierarchical().with_(l1_filter_sectors=size)
+        assert paper_hierarchical().with_(l1_filter_sectors=1).l1_filter_sectors == 1
+
     def test_with_returns_modified_copy(self):
         base = paper_hierarchical()
         other = base.with_(sms_per_node=8)
