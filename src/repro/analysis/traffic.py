@@ -60,7 +60,6 @@ __all__ = [
     "TrafficBounds",
     "launch_traffic_bounds",
     "program_traffic_bounds",
-    "annotate_plan_bounds",
     "plan_for_analysis",
     "check_program_traffic",
 ]
@@ -400,21 +399,6 @@ def program_traffic_bounds(
     return bounds
 
 
-def annotate_plan_bounds(
-    plan: ExecutionPlan, program: Program, config: SystemConfig
-) -> TrafficBounds:
-    """Compute bounds and attach them to each :class:`LaunchPlan`.
-
-    This is the hook LASP/strategies (and the future autotuner) consult:
-    after annotation every ``plan.launches[i].traffic_bounds`` holds the
-    launch's :class:`LaunchTrafficBounds`.
-    """
-    bounds = program_traffic_bounds(program, plan, config)
-    for launch_plan, launch_bounds in zip(plan.launches, bounds.launches):
-        launch_plan.traffic_bounds = launch_bounds
-    return bounds
-
-
 def check_program_traffic(compiled, topology, strategy_name: str = "LADM"):
     """The FOOTPRINT-*/TRAFFIC-* lint pass (see docs/locality_lint.md).
 
@@ -454,7 +438,6 @@ def check_program_traffic(compiled, topology, strategy_name: str = "LADM"):
         bounds = launch_traffic_bounds(
             program, plan, launch_index, config, footprint=footprint, homes=homes
         )
-        launch_plan.traffic_bounds = bounds
 
         tb_bytes = int(footprint.per_tb_box_bytes().max())
         if tb_bytes > config.l2.size:

@@ -26,9 +26,8 @@ user or root and writable by nobody else; anything else is skipped, never
 loaded.  Without a reachable compiler -- or on any build or load failure --
 :func:`load` returns None, :func:`walk` runs the mirror (same results,
 Python speed), and :func:`backend_status` / :func:`fallback_reason` say
-why.  :func:`forced_fallback` takes that path on purpose, so parity tests,
-the fuzzer and ``repro bench`` can exercise it on a host that has a
-compiler.
+why.  :func:`forced_fallback` takes that path on purpose, so parity tests
+and the fuzzer can exercise it on a host that has a compiler.
 """
 
 from __future__ import annotations

@@ -12,14 +12,11 @@ repository's extensions::
     python -m repro swizzle [--page-sizes 512 4096]  # CTA-swizzle head-to-head
     python -m repro table1 | table2 | table4
     python -m repro hw-validation | ablations | energy | paging | proactive
-    python -m repro bench [--smoke] [--gate FILE]   # engine perf benchmark
     python -m repro profile fig9:conv --trace t.json --counters c.json
     python -m repro fuzz --seed 0 --n 200 --shrink  # differential fuzzing
     python -m repro serve --store DIR               # what-if query service
     python -m repro loadgen --queries 200 --verify  # replay a query stream
-    python -m repro servebench --smoke              # serving SLO benchmark
     python -m repro top 127.0.0.1:7653              # live serving telemetry
-    python -m repro regress --current r.json --baseline BENCH_serve.json
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from repro.engine.simulator import ENGINES, simulate
 from repro.errors import ReproError
 from repro.experiments import (
     ablations,
-    benchperf,
     energy,
     fig4,
     fig9,
@@ -42,7 +38,6 @@ from repro.experiments import (
     hw_validation,
     oversubscription,
     proactive,
-    servebench,
     summary,
     swizzle,
     table1,
@@ -53,7 +48,6 @@ from repro.experiments.runner import scale_by_name, strategy_by_name
 from repro.fuzz import cli as fuzz_cli
 from repro.fuzz import loadgen
 from repro.obs import profile as obs_profile
-from repro.obs import regress as obs_regress
 from repro.obs import top as obs_top
 from repro.serve import server as serve_server
 from repro.topology.config import bench_hierarchical, bench_monolithic
@@ -63,12 +57,9 @@ from repro.workloads.suite import all_workloads, get_workload
 __all__ = ["main"]
 
 _EXPERIMENT_MAINS = {
-    "bench": benchperf.main,
-    "servebench": servebench.main,
     "serve": serve_server.main,
     "loadgen": loadgen.main,
     "top": obs_top.main,
-    "regress": obs_regress.main,
     "profile": obs_profile.main,
     "fuzz": fuzz_cli.main,
     "fig4": fig4.main,
@@ -85,6 +76,15 @@ _EXPERIMENT_MAINS = {
     "paging": oversubscription.main,
     "proactive": proactive.main,
     "summary": summary.main,
+}
+
+#: Help lines of the non-figure commands in ``_EXPERIMENT_MAINS``.
+_TOOL_HELP = {
+    "serve": "async what-if query server with a tiered result cache",
+    "loadgen": "replay a seeded query stream against repro serve",
+    "top": "live telemetry view of a running serve endpoint",
+    "profile": "instrumented run: span trace + counters + flame summary",
+    "fuzz": "differential fuzzing campaign over generated KIR programs",
 }
 
 
@@ -343,42 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     for name in _EXPERIMENT_MAINS:
-        if name == "bench":
-            sub.add_parser(
-                name, help="engine perf benchmark (forwards remaining args)"
-            )
-        elif name == "servebench":
-            sub.add_parser(
-                name, help="serving-stack SLO benchmark (cold vs warm store)"
-            )
-        elif name == "serve":
-            sub.add_parser(
-                name, help="async what-if query server with a tiered result cache"
-            )
-        elif name == "loadgen":
-            sub.add_parser(
-                name, help="replay a seeded query stream against repro serve"
-            )
-        elif name == "top":
-            sub.add_parser(
-                name, help="live telemetry view of a running serve endpoint"
-            )
-        elif name == "regress":
-            sub.add_parser(
-                name, help="diff a bench report against a committed baseline"
-            )
-        elif name == "profile":
-            sub.add_parser(
-                name,
-                help="instrumented run: span trace + counters + flame summary",
-            )
-        elif name == "fuzz":
-            sub.add_parser(
-                name,
-                help="differential fuzzing campaign over generated KIR programs",
-            )
-        else:
-            sub.add_parser(name, help=f"regenerate {name} (forwards remaining args)")
+        sub.add_parser(
+            name,
+            help=_TOOL_HELP.get(name, f"regenerate {name} (forwards remaining args)"),
+        )
     return parser
 
 
@@ -395,7 +363,7 @@ def _dispatch(argv: List[str]) -> None:
     # Experiment commands forward their own flags to the experiment parser.
     if argv and argv[0] in _EXPERIMENT_MAINS:
         code = _EXPERIMENT_MAINS[argv[0]](argv[1:])
-        if code:  # bench returns a gate/parity exit status
+        if code:  # fuzz, loadgen and top return an exit status
             raise SystemExit(code)
         return
     args = build_parser().parse_args(argv)

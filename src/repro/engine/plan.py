@@ -37,12 +37,6 @@ class LaunchPlan:
     cache_policy: Mapping[str, CachePolicy] = field(default_factory=dict)
     scheduler_desc: str = ""
     placement_desc: str = ""
-    #: static inter-GPU traffic bounds for this launch
-    #: (:class:`repro.analysis.traffic.LaunchTrafficBounds`), attached by
-    #: :func:`repro.analysis.traffic.annotate_plan_bounds` -- eagerly when
-    #: ``REPRO_PLAN_BOUNDS`` is set, or on demand by strategies and the
-    #: future autotuner.  Advisory: the engine never reads it.
-    traffic_bounds: object = None
 
     def __post_init__(self) -> None:
         expected = self.launch.num_threadblocks

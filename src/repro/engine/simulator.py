@@ -148,18 +148,15 @@ class Simulator:
         self.stage_times = self._fresh_stage_times()
         #: bypass/memoisation telemetry, accumulated across run() calls
         self.walk_counters = dict.fromkeys(self._COUNTER_KEYS, 0)
-        #: per-launch telemetry records ({kernel, launch_index, memo})
-        self.walk_log: List[dict] = []
 
     @staticmethod
     def _fresh_stage_times() -> dict:
         return {"trace": 0.0, "walk": 0.0, "finalize": 0.0}
 
     def reset_stage_times(self) -> None:
-        """Zero stage times and walk telemetry (counters + per-launch log)."""
+        """Zero stage times and walk telemetry counters."""
         self.stage_times = self._fresh_stage_times()
         self.walk_counters = dict.fromkeys(self._COUNTER_KEYS, 0)
-        self.walk_log = []
 
     # ------------------------------------------------------------------
     def run(
@@ -328,9 +325,6 @@ class Simulator:
         counters["memo_" + ("ineligible" if memo_status == "ineligible" else
                             ("hits" if memo_status == "hit" else "misses"))] += 1
         reg.inc("walk.memo", outcome=memo_status)
-        self.walk_log.append(
-            {"kernel": metrics.kernel, "launch_index": launch_index, "memo": memo_status}
-        )
         t2 = time.perf_counter()
         with tr.span("finalize", cat="walk"):
             self._finalize(metrics, xbar, dram, transfers, stats, session=session)

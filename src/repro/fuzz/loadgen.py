@@ -48,7 +48,8 @@ __all__ = [
     "main",
 ]
 
-#: The Fig-9 workload mix (kept in sync with experiments.benchperf).
+#: The Fig-9 workload mix: dense GEMM-shaped layers, recurrent cells, a
+#: streaming reduction and a transpose.
 WORKLOAD_MIX = [
     "conv",
     "lstm1",

@@ -4,7 +4,7 @@ A manifest pins everything needed to attribute a number to the exact
 configuration that produced it: a stable digest of the system config, the
 topology shape, the strategy and engine names, the package version and the
 numerics stack.  ``Simulator.run`` attaches one to every ``RunResult``;
-``repro profile`` and ``repro bench`` embed them in their JSON artifacts.
+``repro profile`` embeds one in its JSON artifacts.
 
 Digests here are **canonical**: they must be byte-identical across
 processes, dict insertion orders and platforms, because the serving layer

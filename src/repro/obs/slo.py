@@ -19,8 +19,7 @@ kinds cover the serving stack:
 histograms from :class:`~repro.obs.metrics.MetricsRegistry`) plus an
 optional stats document, and returns a JSON-safe state doc whose overall
 ``state`` is the worst per-spec state.  ``repro serve`` exposes it through
-the ``stats``/``health`` admin ops; ``servebench`` commits it into
-``BENCH_serve.json``.
+the ``stats``/``health`` admin ops.
 """
 
 from __future__ import annotations
@@ -200,10 +199,10 @@ def default_serve_slos(
 
     Cached tiers (memory/store) answer without simulating, so their p95
     ceiling is an order of magnitude tighter than the compute tier's.
-    Floors on dedup/store hit-rates are *workload* properties -- servebench
-    asserts them against its duplicate-heavy stream; a live server with a
-    cold, unique stream must not page anyone over them, so they are not
-    part of the defaults.
+    Floors on dedup/store hit-rates are *workload* properties -- CI's
+    serve-smoke job asserts them against its duplicate-heavy stream; a live
+    server with a cold, unique stream must not page anyone over them, so
+    they are not part of the defaults.
     """
     specs = [
         SLOSpec(

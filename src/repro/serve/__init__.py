@@ -18,8 +18,9 @@ this topology?* -- and the server answers through a tiered cache:
 Components: :mod:`repro.serve.query` (the query model, digests and the
 direct execution path), :mod:`repro.serve.server` (the asyncio server and
 the ``repro serve`` CLI), :mod:`repro.serve.client` (async + blocking
-clients).  The load generator lives in :mod:`repro.fuzz.loadgen`; the SLO
-benchmark in :mod:`repro.experiments.servebench`.  See ``docs/serving.md``.
+clients).  The load generator lives in :mod:`repro.fuzz.loadgen`; the perf
+ledger's ``serve-cold``/``serve-warm`` workloads (``benchmarks/ledger``)
+measure the service.  See ``docs/serving.md``.
 """
 
 from repro.serve.query import Query, execute_query, query_digest  # noqa: F401

@@ -648,8 +648,8 @@ class QueryServer:
 class ServerThread:
     """A :class:`QueryServer` on a background event-loop thread.
 
-    For synchronous callers (servebench, tests, the load generator's own
-    harness) that need a live endpoint next to blocking client code::
+    For synchronous callers (tests, the load generator's own harness) that
+    need a live endpoint next to blocking client code::
 
         with ServerThread(workers=2, store_dir=d) as st:
             report = run_stream(st.host, st.port, stream)

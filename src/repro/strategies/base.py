@@ -10,7 +10,6 @@ an allocation (paper Section III-D1, "timing of page placement").
 from __future__ import annotations
 
 import abc
-import os
 from typing import Set
 
 from repro import obs
@@ -115,19 +114,10 @@ class Strategy(abc.ABC):
                     first, last = space.page_range(name)
                     page_table.map_allocation(name, fallback.homes(last - first, pctx))
 
-        plan = ExecutionPlan(
+        return ExecutionPlan(
             space=space,
             page_table=page_table,
             launches=launch_plans,
             strategy_name=self.name,
             fault_cost_s=self.fault_cost_s(topology),
         )
-        if os.environ.get("REPRO_PLAN_BOUNDS", "") not in ("", "0"):
-            # Attach static inter-GPU traffic bounds to every LaunchPlan so
-            # downstream consumers (autotuner, reports) can read them without
-            # re-deriving the placement.  Lazy import: analysis sits above
-            # the strategy layer in the module graph.
-            from repro.analysis.traffic import annotate_plan_bounds
-
-            annotate_plan_bounds(plan, program, cfg)
-        return plan

@@ -4,8 +4,8 @@ Each strategy is full LADM (LASP placement + CRB cache insertion) with one
 difference: 2-D-tiled RCL/RSTRIDE launches are rasterised along a swizzle
 curve (:mod:`repro.sched.swizzle`) instead of line-binding / alignment-aware
 batching, with the curve dealing snapped to Equation-2 page batches by
-default.  This isolates the scheduling axis so ``repro bench`` /
-``run_matrix`` can measure swizzle-vs-LADM head to head.
+default.  This isolates the scheduling axis so ``run_matrix`` (``repro
+swizzle``) can measure swizzle-vs-LADM head to head.
 """
 
 from __future__ import annotations

@@ -28,14 +28,15 @@ from repro.workloads.suite import all_workloads, get_workload
 
 # (strategy, config kind) pairs covering every engine code path: heavy
 # remote traffic (RR), mostly-local first touch (Batch+FT), locality-optimised
-# placement (LADM/H-CODA), RONCE insert bypass, and the flushless
-# monolithic configuration.
+# placement (LADM/H-CODA), the explicit RONCE and RTWICE insertion
+# policies, and the flushless monolithic configuration.
 PAIRS = [
     ("Baseline-RR", "hier"),
     ("Batch+FT", "hier"),
     ("LADM", "hier"),
     ("H-CODA", "hier"),
     ("LASP+RONCE", "hier"),
+    ("LASP+RTWICE", "hier"),
     ("Monolithic", "mono"),
 ]
 
@@ -43,7 +44,7 @@ WORKLOAD_NAMES = [w.name for w in all_workloads()]
 
 
 def _pairs_for(index: int):
-    """Three of the six pairs, rotated so the suite covers all of them."""
+    """Three of the seven pairs, rotated so the suite covers all of them."""
     return [PAIRS[(index + off) % len(PAIRS)] for off in (0, 1, 3)]
 
 

@@ -48,7 +48,6 @@ class TestMemoHits:
         assert _snapshots(r1) == _snapshots(r2)
         # A hit skips the walk: no native_walk span at all.
         assert _walk_spans(s2) == 0
-        assert all(e["memo"] == "hit" for e in sim2.walk_log)
 
     def test_hits_cross_simulators_via_shared_memo(self):
         compiled = _compiled()
