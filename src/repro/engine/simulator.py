@@ -115,14 +115,6 @@ class Simulator:
     a no-op unless observability is enabled.
     """
 
-    #: zero-valued template for the walk telemetry counters
-    _COUNTER_KEYS = (
-        "l2_bypass",
-        "memo_hits",
-        "memo_misses",
-        "memo_ineligible",
-    )
-
     def __init__(
         self,
         config: SystemConfig,
@@ -145,18 +137,11 @@ class Simulator:
         self.obs_session = obs_session
         self._obs_strategy = ""  # strategy label for counters, set per run()
         #: wall-clock seconds per stage, accumulated across run() calls
-        self.stage_times = self._fresh_stage_times()
-        #: bypass/memoisation telemetry, accumulated across run() calls
-        self.walk_counters = dict.fromkeys(self._COUNTER_KEYS, 0)
-
-    @staticmethod
-    def _fresh_stage_times() -> dict:
-        return {"trace": 0.0, "walk": 0.0, "finalize": 0.0}
-
-    def reset_stage_times(self) -> None:
-        """Zero stage times and walk telemetry counters."""
-        self.stage_times = self._fresh_stage_times()
-        self.walk_counters = dict.fromkeys(self._COUNTER_KEYS, 0)
+        self.stage_times = {"trace": 0.0, "walk": 0.0, "finalize": 0.0}
+        #: walk-memo telemetry, accumulated across run() calls
+        self.walk_counters = dict.fromkeys(
+            ("memo_hits", "memo_misses", "memo_ineligible"), 0
+        )
 
     # ------------------------------------------------------------------
     def run(
@@ -318,7 +303,7 @@ class Simulator:
             ):
                 metrics, xbar, dram, transfers, stats = walk_launch(
                     cfg, launch_index, lp, plan, l2, trace, order, page_counts,
-                    homes=homes, counters=counters, session=session,
+                    homes=homes, session=session,
                 )
             if key is not None:
                 memo.put(key, metrics, xbar, dram, transfers, stats)

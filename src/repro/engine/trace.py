@@ -13,11 +13,10 @@ in this suite and is the level at which the L2 sees traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.kir.expr import BX, BY, M, TX, TY, Var
 from repro.kir.kernel import AccessMode, GlobalAccess
 from repro.kir.program import KernelLaunch
@@ -30,22 +29,31 @@ __all__ = ["TraceCtx", "SiteRequests", "TBTrace", "trace_threadblock"]
 class TraceCtx:
     """Context handed to data-dependent access providers.
 
-    ``tx``/``ty`` are per-thread numpy arrays (thread-linear order); ``tb``
-    is the linear threadblock id.  Providers must be deterministic functions
-    of this context (no hidden randomness) so simulations are reproducible.
+    The ids come in one of two shapes, and a provider must accept both:
+
+    * one threadblock (the legacy walk, paging): ``tb``/``bx``/``by`` are
+      ints and ``tx``/``ty`` are per-thread arrays (thread-linear order);
+    * every threadblock at once (the trace cache): ``tb``/``bx``/``by`` are
+      ``(ntb, 1)`` columns and ``tx``/``ty`` are ``(1, threads)`` rows.
+
+    Plain numpy arithmetic and indexing on the ids serves both; an
+    ``int(...)`` of an id does not.  The result must broadcast to
+    ``(threads,)`` or ``(ntb, threads)`` respectively.  Providers must be
+    deterministic functions of this context (no hidden randomness) so
+    simulations are reproducible.
     """
 
     launch: KernelLaunch
-    tb: int
-    bx: int
-    by: int
+    tb: Union[int, np.ndarray]
+    bx: Union[int, np.ndarray]
+    by: Union[int, np.ndarray]
     m: int
     tx: np.ndarray
     ty: np.ndarray
 
     @property
     def num_threads(self) -> int:
-        return self.tx.size
+        return self.tx.shape[-1]
 
     @property
     def linear_tid(self) -> np.ndarray:
@@ -117,53 +125,33 @@ class _LaunchTracer:
     # ------------------------------------------------------------------
     # Batched (all-threadblock) evaluation, used by the trace cache
     # ------------------------------------------------------------------
-    @property
-    def num_threadblocks(self) -> int:
-        return self.launch.num_threadblocks
-
-    @property
-    def cacheable(self) -> bool:
-        """Whether every access site may be traced once and replayed.
-
-        Affine sites are pure functions of the launch; data-dependent
-        providers are required to be deterministic functions of their
-        :class:`TraceCtx` (see class docstring), so they are replayable too
-        *for the same launch object*.  A provider can opt out of caching --
-        e.g. because it samples external state -- by setting a
-        ``trace_cacheable = False`` attribute on the callable.
-        """
-        return all(
-            getattr(site.provider, "trace_cacheable", True)
-            for site in self.launch.kernel.accesses
-            if site.provider is not None
-        )
-
     def site_sectors_all_tbs(self, site: GlobalAccess, m: int):
-        """Per-TB sorted-unique sector ids of one affine site at iteration ``m``.
+        """Per-TB sorted-unique sector ids of one site at iteration ``m``.
 
-        Evaluates the index expression for *every* threadblock in one
-        broadcast (threadblocks down the rows, threads across the columns)
-        instead of one Python round-trip per TB.  Returns ``(sectors,
+        Evaluates the site for *every* threadblock in one broadcast
+        (threadblocks down the rows, threads across the columns) instead of
+        one Python round-trip per TB: an affine site through its index
+        expression, a data-dependent site through one provider call whose
+        :class:`TraceCtx` holds id columns and rows.  Returns ``(sectors,
         counts)`` where ``sectors`` concatenates each TB's sorted unique
         sector ids in TB order and ``counts[tb]`` is each TB's contribution.
-        Data-dependent sites must go through :meth:`_site_requests`.
         """
-        if site.provider is not None:
-            raise SimulationError(
-                "site_sectors_all_tbs cannot evaluate data-dependent sites"
-            )
         launch = self.launch
         ntb = launch.num_threadblocks
         gdx = launch.grid.x
-        tbs = np.arange(ntb, dtype=np.int64)
-        env = dict(self._base_env)
-        env[TX] = self._tx[None, :]
-        env[TY] = self._ty[None, :]
-        env[BX] = (tbs % gdx)[:, None]
-        env[BY] = (tbs // gdx)[:, None]
-        env[M] = m
-        elements = np.asarray(site.index.evaluate_vectorized(env), dtype=np.int64)
-        elements = np.broadcast_to(elements, (ntb, self._tx.size))
+        tbs = np.arange(ntb, dtype=np.int64)[:, None]
+        tx, ty = self._tx[None, :], self._ty[None, :]
+        bx, by = tbs % gdx, tbs // gdx
+        if site.provider is not None:
+            ctx = TraceCtx(launch=launch, tb=tbs, bx=bx, by=by, m=m, tx=tx, ty=ty)
+            elements = site.provider(ctx)
+        else:
+            env = dict(self._base_env)
+            env.update({TX: tx, TY: ty, BX: bx, BY: by, M: m})
+            elements = site.index.evaluate_vectorized(env)
+        elements = np.broadcast_to(
+            np.asarray(elements, dtype=np.int64), (ntb, self._tx.size)
+        )
         alloc_name = launch.args[site.array]
         addresses = self.space.element_addresses(alloc_name, elements.reshape(-1))
         sectors = (addresses // self.sector_bytes).reshape(ntb, -1)

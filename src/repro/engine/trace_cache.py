@@ -105,14 +105,15 @@ class LaunchTrace:
 
     @property
     def nbytes(self) -> int:
-        total = self.sectors.nbytes + self.pages.nbytes + self.site_index.nbytes
+        """Bytes of every array this trace holds, lazily derived ones too."""
+        arrays = [self.sectors, self.pages, self.site_index]
         if self.offsets is not None:
-            total += self.offsets.nbytes
-        for mask in self._survivors.values():
-            total += mask.nbytes
-        for sets in self._set_indices.values():
-            total += sets.nbytes
-        return total
+            arrays.append(self.offsets)
+        arrays.extend(self._survivors.values())
+        arrays.extend(self._set_indices.values())
+        for stream in self._survivor_streams.values():
+            arrays.extend(stream)
+        return sum(a.nbytes for a in arrays)
 
     # ------------------------------------------------------------------
     def set_indices(self, num_sets: int) -> np.ndarray:
@@ -248,16 +249,14 @@ def build_launch_trace(
 ) -> LaunchTrace:
     """Trace every (threadblock, iteration, site) of a launch, flattened.
 
-    Affine sites are evaluated for all threadblocks in one broadcast;
-    data-dependent sites fall back to their per-TB provider.  The final
-    element order is identical to the legacy engine's visit order:
-    threadblock-major, iteration next, sites in program order, sectors
-    ascending within one site.
+    Every site, affine or data-dependent, is evaluated for all
+    threadblocks in one broadcast.  The final element order is identical
+    to the legacy engine's visit order: threadblock-major, iteration next,
+    sites in program order, sectors ascending within one site.
     """
     tracer = launch_tracer(launch, space, sector_bytes)
     ntb = launch.num_threadblocks
     trip = tracer.trip
-    gdx = launch.grid.x
 
     site_arrays: List[str] = []
     site_rank_of: Dict[int, int] = {}
@@ -275,25 +274,9 @@ def build_launch_trace(
                 site_rank_of[sid] = len(site_arrays)
                 site_arrays.append(launch.args[site.array])
             site_idx = site_rank_of[sid]
-            if site.provider is None:
-                sectors, counts = tracer.site_sectors_all_tbs(site, m)
-                tb_ids = np.repeat(np.arange(ntb, dtype=np.int64), counts)
-            else:
-                per_tb = [
-                    tracer._site_requests(site, tb, tb % gdx, tb // gdx, m).sectors
-                    for tb in range(ntb)
-                ]
-                counts = np.array([s.size for s in per_tb], dtype=np.int64)
-                sectors = (
-                    np.concatenate(per_tb)
-                    if counts.sum()
-                    else np.empty(0, dtype=np.int64)
-                )
-                tb_ids = np.repeat(np.arange(ntb, dtype=np.int64), counts)
-            if sectors.size == 0:
-                continue
+            sectors, counts = tracer.site_sectors_all_tbs(site, m)
             chunks_sec.append(sectors)
-            chunks_tb.append(tb_ids)
+            chunks_tb.append(np.repeat(np.arange(ntb, dtype=np.int64), counts))
             chunks_m.append(np.full(sectors.size, m, dtype=np.int64))
             chunks_rank.append(np.full(sectors.size, rank, dtype=np.int64))
             chunks_site.append(np.full(sectors.size, site_idx, dtype=np.int16))

@@ -65,20 +65,6 @@ def _walk_order(
     return _concat_ranges(offsets[blocks], lengths[blocks])
 
 
-def _count_bypass(bypass, home, num_nodes, strategy, counters, reg) -> None:
-    """Count home-side L2 bypasses: realised home events that missed and,
-    per the allocation's RONCE policy, did not insert at the home L2."""
-    n_bypass = int(bypass.sum())
-    if not n_bypass:
-        return
-    if counters is not None:
-        counters["l2_bypass"] += n_bypass
-    if reg.enabled:
-        per_node = np.bincount(home[bypass], minlength=num_nodes)
-        for nd in np.nonzero(per_node)[0]:
-            reg.inc("l2.bypass", int(per_node[nd]), node=int(nd), strategy=strategy)
-
-
 def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenate ``[arange(s, s+l) for s, l in zip(starts, lengths)]``."""
     total = int(lengths.sum())
@@ -140,7 +126,6 @@ def walk_launch(
     order: np.ndarray,
     page_counts: Optional[np.ndarray] = None,
     homes: Optional[np.ndarray] = None,
-    counters: Optional[dict] = None,
     session=None,
 ) -> tuple:
     """Walk one launch's cached trace; returns raw accumulators.
@@ -151,8 +136,7 @@ def walk_launch(
 
     ``homes`` optionally passes the precomputed per-sector home nodes (the
     walk-memo key derivation already gathered them); only valid when the
-    page table is fully mapped.  ``counters`` receives the ``l2_bypass``
-    count (see :attr:`~repro.engine.simulator.Simulator.walk_counters`).
+    page table is fully mapped.
     """
     num_nodes = config.num_nodes
     num_sets = config.l2.num_sets
@@ -256,11 +240,12 @@ def walk_launch(
             num_nodes, slocal, s_node, shome, req_hit, home_present, home_hit,
             stats_acc, dram_requests, transfers,
         )
-        # Home-side bypasses: realised home events that missed and, per the
-        # allocation's RONCE policy, did not insert at the home L2.
-        _count_bypass(
-            home_present & ~home_hit & ~sins, shome, num_nodes,
-            strategy, counters, reg,
-        )
+        if reg.enabled:
+            # Home-side bypasses: realised home events that missed and, per
+            # the allocation's RONCE policy, did not insert at the home L2.
+            bypass = home_present & ~home_hit & ~sins
+            per_node = np.bincount(shome[bypass], minlength=num_nodes)
+            for nd in np.nonzero(per_node)[0]:
+                reg.inc("l2.bypass", int(per_node[nd]), node=int(nd), strategy=strategy)
     metrics.faults = page_table.fault_count - faults_before
     return metrics, xbar_requests, dram_requests, transfers, stats_acc

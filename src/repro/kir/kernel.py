@@ -77,8 +77,11 @@ class Dim2:
 
 
 # A trace-time provider for data-dependent accesses.  It receives the trace
-# context (see repro.engine.trace) and returns a numpy array of element
-# indices touched by the threads of the current (block, iteration).
+# context (repro.engine.trace.TraceCtx) and returns the element indices the
+# threads touch at one iteration.  The context's ids are either scalars (one
+# block) or broadcast columns and rows (every block at once), so a provider
+# must be plain numpy on them, and its result must broadcast to
+# ``(threads,)`` or ``(ntb, threads)`` respectively.
 Provider = Callable[..., object]
 
 

@@ -154,7 +154,7 @@ def build_btree(scale: Scale) -> Program:
         # Rodinia's findK assigns one query per *block*: all threads of the
         # TB walk the same path, fetching the node's key slab cooperatively.
         key = (np.int64(ctx.tb) * _HASH) % np.int64(1 << 30)
-        node = int(key % np.int64(level_size[ctx.m]))
+        node = key % np.int64(level_size[ctx.m])
         base = node - (node % fanout)
         slab = base + (ctx.tx % fanout)
         return level_off[ctx.m] + np.minimum(slab, level_size[ctx.m] - 1)

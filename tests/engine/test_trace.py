@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.trace import launch_tracer, trace_threadblock
+from repro.fuzz.genprog import AccessSpec, KernelSpec, ProgramSpec, build_program
 from repro.kir.expr import BDX, BX, BY, GDX, M, TX, TY, param
 from repro.kir.kernel import (
     AccessMode,
@@ -16,6 +17,8 @@ from repro.kir.kernel import (
 )
 from repro.kir.program import Program
 from repro.memory.address_space import AddressSpace
+from repro.workloads.base import TEST
+from repro.workloads.suite import get_workload
 
 from tests.conftest import make_gemm_program, make_vecadd_program
 
@@ -136,3 +139,89 @@ class TestTracerReuse:
         prog = make_gemm_program(side=64)
         tracer = launch_tracer(prog.launches[0], _space(prog))
         assert tracer.trace_tb(0).total_requests() > 0
+
+
+def _provider_sites_match_per_tb(prog, page=512) -> int:
+    """Check every provider site's all-TB trace against per-TB tracing.
+
+    Returns how many (launch, site, iteration) cases were compared.
+    """
+    space = _space(prog, page)
+    checked = 0
+    for launch in prog.launches:
+        tracer = launch_tracer(launch, space)
+        gdx = launch.grid.x
+        for m in range(tracer.trip):
+            for site in tracer.sites_at(m):
+                if site.provider is None:
+                    continue
+                sectors, counts = tracer.site_sectors_all_tbs(site, m)
+                per_tb = [
+                    tracer._site_requests(site, tb, tb % gdx, tb // gdx, m).sectors
+                    for tb in range(launch.num_threadblocks)
+                ]
+                assert counts.tolist() == [s.size for s in per_tb]
+                np.testing.assert_array_equal(sectors, np.concatenate(per_tb))
+                checked += 1
+    return checked
+
+
+class TestProviderBroadcast:
+    """The trace cache calls each provider once for every threadblock; the
+    legacy walk calls it once per threadblock.  Both must trace alike."""
+
+    @pytest.mark.parametrize(
+        "wname",
+        [
+            "pagerank",
+            "bfs_relax",
+            "sssp",
+            "random_loc",
+            "kmeans_notex",
+            "spmv_jds",
+            "btree",
+            "lbm",
+            "streamcluster",
+        ],
+    )
+    def test_suite_providers(self, wname):
+        prog = get_workload(wname).program(TEST)
+        assert _provider_sites_match_per_tb(prog) > 0
+
+    def test_fuzz_providers(self):
+        kernel = KernelSpec(
+            name="k",
+            bdx=8,
+            bdy=2,
+            gdx=3,
+            gdy=2,
+            trip=3,
+            accesses=(
+                AccessSpec(alloc="a", shape="data", data_seed=5),
+                AccessSpec(alloc="b", shape="data", in_loop=True, data_seed=11),
+                AccessSpec(alloc="a", shape="data_itl", in_loop=True, data_seed=7),
+            ),
+        )
+        spec = ProgramSpec("fz", elem_sizes=(("a", 4), ("b", 8)), kernels=(kernel,))
+        assert _provider_sites_match_per_tb(build_program(spec)) == 7
+
+    @pytest.mark.parametrize(
+        "provider",
+        [
+            lambda ctx: (ctx.tx * 3 + ctx.ty * 40) % 256,  # ignores tb: (threads,)
+            lambda ctx: 17,  # one element for the whole block
+        ],
+        ids=["thread-row", "scalar"],
+    )
+    def test_shapes_that_broadcast(self, provider):
+        prog = Program("shapes")
+        prog.malloc_managed("X", 512, 4)
+        k = Kernel(
+            "k",
+            Dim2(16, 2),
+            {"X": 4},
+            [IndirectAccess("X", data_var("i"), provider, in_loop=True)],
+            loop=LoopSpec(2),
+        )
+        prog.launch(k, Dim2(3, 2), {"X": "X"})
+        assert _provider_sites_match_per_tb(prog) == 2

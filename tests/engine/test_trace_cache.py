@@ -16,11 +16,13 @@ from repro.engine.trace_cache import (
     LaunchTrace,
     TraceCache,
     _lru_filter_misses,
+    build_launch_trace,
 )
 from repro.errors import SimulationError
 from repro.experiments.runner import strategy_by_name
 from repro.kir.kernel import Dim2, IndirectAccess, Kernel, data_var
 from repro.kir.program import Program
+from repro.memory.address_space import AddressSpace
 from repro.obs import ObsSession
 from repro.topology.config import bench_hierarchical
 
@@ -114,6 +116,21 @@ class TestEvictionAndOptOut:
                      trace_cache=cache)
         assert cache.stats()["builds"] == 3
         assert len(cache) == 1  # older traces evicted, newest kept
+
+    def test_nbytes_counts_every_held_array(self):
+        """The byte budget sees all a trace holds, arrays derived on replay
+        included (survivor masks, set indices, survivor streams)."""
+        prog = make_gemm_program(side=64)
+        trace = build_launch_trace(prog.launches[0], AddressSpace(prog, 4096), 32)
+        layouts = ((4, 64), (4, 128), (8, 64))
+        for capacity, num_sets in layouts:
+            trace.survivor_layout(capacity, num_sets)
+        held = [trace.sectors, trace.pages, trace.site_index, trace.offsets]
+        held += [trace.survivors(capacity) for capacity in (4, 8)]
+        held += [trace.set_indices(num_sets) for num_sets in (64, 128)]
+        for capacity, num_sets in layouts:
+            held += trace.survivor_layout(capacity, num_sets)
+        assert trace.nbytes == sum(a.nbytes for a in held)
 
     def test_trace_cacheable_opt_out(self):
         """A provider marked trace_cacheable=False is never stored."""
