@@ -10,7 +10,7 @@ always-insert, fully associative LRU per threadblock over dense sector
 ids).  :func:`_walk_py` is the walk's line-for-line Python mirror -- the
 no-compiler fallback and the kernel's executable spec; the filter's
 fallback and spec is the trace's sequential filter
-(``LaunchTrace._compute_survivors_sequential``), so :func:`l1_filter`
+(``LaunchTrace._survivors_sequential``), so :func:`l1_filter`
 raises instead of falling back.
 
 Both functions live in one source, so there is one shared object, one
@@ -393,7 +393,7 @@ def l1_filter(
     kernel sees a pointer: ids in range, offsets non-decreasing from 0 to
     ``ids.size``, ``capacity >= 1``.  The kernel has no mirror in this
     module: with no kernel loaded this raises, and the caller runs its own
-    sequential filter (``LaunchTrace._compute_survivors_sequential``).
+    sequential filter (``LaunchTrace._survivors_sequential``).
     """
     ids = np.ascontiguousarray(ids, dtype=np.int64)
     offs = np.ascontiguousarray(tb_offsets, dtype=np.int64)

@@ -21,7 +21,6 @@ once per launch.
 from __future__ import annotations
 
 import os
-import time
 from collections import OrderedDict
 from typing import List, Optional
 
@@ -38,7 +37,7 @@ from repro.engine.perf import apply_perf_model
 from repro.engine.plan import ExecutionPlan, LaunchPlan
 from repro.engine.trace import launch_tracer
 from repro.engine.trace_cache import TraceCache, default_trace_cache
-from repro.engine.vector_walk import walk_launch
+from repro.engine.vector_walk import survivor_homes, walk_launch
 from repro.engine.walk_memo import WalkMemo, default_walk_memo, eligible, memo_enabled
 from repro.errors import SimulationError
 from repro.kir.program import Program
@@ -136,8 +135,6 @@ class Simulator:
         self.walk_memo = walk_memo
         self.obs_session = obs_session
         self._obs_strategy = ""  # strategy label for counters, set per run()
-        #: wall-clock seconds per stage, accumulated across run() calls
-        self.stage_times = {"trace": 0.0, "walk": 0.0, "finalize": 0.0}
         #: walk-memo telemetry, accumulated across run() calls
         self.walk_counters = dict.fromkeys(
             ("memo_hits", "memo_misses", "memo_ineligible"), 0
@@ -261,7 +258,6 @@ class Simulator:
         tr = session.tracer
         reg = session.counters
         cache = self.trace_cache if self.trace_cache is not None else default_trace_cache()
-        t0 = time.perf_counter()
         launch_key = (compiled.program, launch_index)
         cache_hits_before = cache.hits
         with tr.span("trace.fetch", cat="trace"):
@@ -270,7 +266,6 @@ class Simulator:
             "trace_cache",
             outcome="hit" if cache.hits > cache_hits_before else "miss",
         )
-        t1 = time.perf_counter()
         order = _wave_order(lp.tb_nodes, cfg.num_nodes)
 
         counters = self.walk_counters
@@ -289,7 +284,7 @@ class Simulator:
             counters_enabled=reg.enabled,
         ):
             with tr.span("memo.probe", cat="memo"):
-                homes = plan.page_table.homes_of_pages(trace.pages, toucher=0)
+                homes = survivor_homes(cfg, plan, trace)
                 key = memo.make_key(trace, lp, cfg, homes)
                 cached = memo.get(key)
             if cached is not None:
@@ -310,13 +305,8 @@ class Simulator:
         counters["memo_" + ("ineligible" if memo_status == "ineligible" else
                             ("hits" if memo_status == "hit" else "misses"))] += 1
         reg.inc("walk.memo", outcome=memo_status)
-        t2 = time.perf_counter()
         with tr.span("finalize", cat="walk"):
             self._finalize(metrics, xbar, dram, transfers, stats, session=session)
-        t3 = time.perf_counter()
-        self.stage_times["trace"] += t1 - t0
-        self.stage_times["walk"] += t2 - t1
-        self.stage_times["finalize"] += t3 - t2
         return metrics
 
     # ------------------------------------------------------------------
@@ -339,8 +329,6 @@ class Simulator:
         )
         faults_before = page_table.fault_count
 
-        walk_start = time.perf_counter()
-        trace_time = 0.0
         tracer = launch_tracer(launch, plan.space, sector_bytes)
         warps_per_tb = -(-kernel.block.count // cfg.warp_size)
         insts_per_tb = warps_per_tb * kernel.insts_per_thread * tracer.trip
@@ -385,10 +373,7 @@ class Simulator:
                 l1 = l1_filters[tb]
                 local_sets = l2_sets[node]
                 node_stats = stats_acc[node]
-                t_tr = time.perf_counter()
-                reqs = tracer.iteration_requests(tb, m)
-                trace_time += time.perf_counter() - t_tr
-                for sr in reqs:
+                for sr in tracer.iteration_requests(tb, m):
                     homes = page_table.homes_of_pages(sr.pages, toucher=node)
                     if page_counts is not None:
                         np.add.at(page_counts[node], sr.pages, 1)
@@ -434,12 +419,7 @@ class Simulator:
                     xbar_requests[node] += n_req
 
         metrics.faults = page_table.fault_count - faults_before
-        fin_start = time.perf_counter()
         self._finalize(metrics, xbar_requests, dram_requests, transfers, stats_acc)
-        fin_end = time.perf_counter()
-        self.stage_times["trace"] += trace_time
-        self.stage_times["walk"] += (fin_start - walk_start) - trace_time
-        self.stage_times["finalize"] += fin_end - fin_start
         return metrics
 
     # ------------------------------------------------------------------

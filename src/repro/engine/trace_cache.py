@@ -7,29 +7,28 @@ threadblock placement differ per strategy, the addresses a kernel touches do
 not.  A :class:`TraceCache` therefore traces each launch **once** and replays
 the flattened trace across every strategy/config of an experiment matrix.
 
-The cached form is a :class:`LaunchTrace`: one flat ``sectors`` array laid
-out threadblock-major (``tb`` outer, iteration ``m`` inner, access sites in
-program order, sectors ascending within a site -- exactly the order the
-legacy walk visits them), with an ``offsets`` table slicing out any
-``(tb, m)`` block.  Alongside the sectors it stores:
+The cached form is a :class:`LaunchTrace`, which holds only what cannot be
+recomputed cheaply: one flat ``sectors`` array laid out threadblock-major
+(``tb`` outer, iteration ``m`` inner, access sites in program order, sectors
+ascending within a site -- exactly the order the legacy walk visits them),
+an ``offsets`` table slicing out any ``(tb, m)`` block, a ``site_index``
+naming the access site of each sector (for per-array cache-policy lookup at
+replay time), and, per L1 filter capacity, one lazily built **survivor
+stream**.  The per-TB L1 sector filter is an always-insert
+fully-associative LRU, so which sectors miss it is a pure function of the
+TB's own stream, shared by every strategy; the stream keeps those sectors
+with their site index and block offsets (filtered by the native
+``l1_filter`` kernel of :mod:`repro.cache.compiled` over dense sector ids,
+or without a compiler by the sequential Python filter).
 
-* ``pages`` -- the page index of every sector (layout-dependent, so the
-  cache key includes the page size),
-* ``site_index`` -- which access site produced each sector, for per-array
-  cache-policy lookup at replay time,
-* lazily computed **L1 survivor masks** per filter capacity: the per-TB L1
-  sector filter is an always-insert fully-associative LRU, so its outcome is
-  a pure function of the TB's own stream and can be precomputed once and
-  shared by every strategy (by the native ``l1_filter`` kernel of
-  :mod:`repro.cache.compiled` over dense sector ids, or without a compiler
-  by the sequential Python filter),
-* lazily computed set-index arrays per L2 geometry (``sector % num_sets``).
+Everything else the walk needs is derived where it is used: page numbers
+(``sector * sector_bytes // page_size - first_page``) and L2 set indices
+(``sector % num_sets``) depend on the layout and geometry under test, so
+the walk computes them over survivors, and over the full trace only for
+first-touch resolution and page-access profiles.
 
-Cache keys are ``(id(program), launch_index, sector_bytes, page_size)``; the
-entry keeps a strong reference to the program so the id cannot be recycled.
-Launches containing a data-dependent provider that declares itself
-non-replayable (``provider.trace_cacheable = False``) are rebuilt per run
-instead of cached.
+Cache keys are ``(launch_key, sector_bytes, page_size)``; ``launch_key``
+holds the program object, so its identity cannot be recycled.
 """
 
 from __future__ import annotations
@@ -62,12 +61,9 @@ class LaunchTrace:
         "num_threadblocks",
         "trip",
         "sectors",
-        "pages",
         "site_index",
         "site_arrays",
         "offsets",
-        "_survivors",
-        "_set_indices",
         "_survivor_streams",
     )
 
@@ -76,95 +72,64 @@ class LaunchTrace:
         num_threadblocks: int,
         trip: int,
         sectors: np.ndarray,
-        pages: np.ndarray,
         site_index: np.ndarray,
         site_arrays: List[str],
+        offsets: np.ndarray,
     ):
         self.num_threadblocks = num_threadblocks
         self.trip = trip
         self.sectors = sectors
-        self.pages = pages
         self.site_index = site_index
         #: allocation name per site index (for insertion-policy lookup)
         self.site_arrays = site_arrays
         #: offsets[tb * trip + m] .. offsets[tb * trip + m + 1] slices a block
-        self.offsets: Optional[np.ndarray] = None  # filled by build_launch_trace
-        self._survivors: Dict[int, np.ndarray] = {}
-        self._set_indices: Dict[int, np.ndarray] = {}
-        self._survivor_streams: Dict[Tuple[int, int], tuple] = {}
+        self.offsets = offsets
+        self._survivor_streams: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
-    def block(self, tb: int, m: int) -> slice:
-        """Slice covering the ``(tb, m)`` trace block."""
-        i = tb * self.trip + m
-        return slice(self.offsets[i], self.offsets[i + 1])
-
     @property
     def total_sectors(self) -> int:
         return int(self.sectors.size)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of every array this trace holds, lazily derived ones too."""
-        arrays = [self.sectors, self.pages, self.site_index]
-        if self.offsets is not None:
-            arrays.append(self.offsets)
-        arrays.extend(self._survivors.values())
-        arrays.extend(self._set_indices.values())
+        """Bytes of every array this trace holds, survivor streams too."""
+        arrays = [self.sectors, self.site_index, self.offsets]
         for stream in self._survivor_streams.values():
             arrays.extend(stream)
         return sum(a.nbytes for a in arrays)
 
     # ------------------------------------------------------------------
-    def set_indices(self, num_sets: int) -> np.ndarray:
-        """``sector % num_sets`` for the whole trace, cached per geometry."""
-        sets = self._set_indices.get(num_sets)
-        if sets is None:
-            sets = (self.sectors % num_sets).astype(np.int64)
-            self._set_indices[num_sets] = sets
-        return sets
-
     def survivors(self, capacity: int) -> np.ndarray:
-        """Mask of sectors that *miss* the per-TB L1 filter, per capacity.
+        """Mask of sectors that *miss* the per-TB L1 filter of ``capacity``.
 
         The L1 sector filter is a fully-associative always-insert LRU over
         each threadblock's own stream, so hit/miss is strategy-independent.
-        Computed once per capacity (an ``l1_filter`` span) and reused by
-        every replay of this trace.
-        """
-        mask = self._survivors.get(capacity)
-        if mask is None:
-            with obs.current().tracer.span(
-                "l1_filter", cat="trace", sectors=self.total_sectors,
-                capacity=capacity,
-            ):
-                mask = self._compute_survivors(capacity)
-            self._survivors[capacity] = mask
-        return mask
-
-    def _compute_survivors(self, capacity: int) -> np.ndarray:
-        """The filter through the native kernel over dense sector ids.
-
-        Ids are ``sectors - min`` while that range stays within a few times
-        the stream length (the kernel's scratch arrays are sized to it),
-        else one ``np.unique`` inverse.  Without a loaded kernel the
-        sequential filter runs instead.
+        Runs the native kernel over dense sector ids: ``sectors - min``
+        while that range stays within a few times the stream length (the
+        kernel's scratch arrays are sized to it), else one ``np.unique``
+        inverse.  Without a loaded kernel the sequential filter runs
+        instead.  Each call is one ``l1_filter`` span; replays reuse the
+        result through :meth:`survivor_layout`.
         """
         sec = self.sectors
-        if sec.size == 0:
-            return np.empty(0, dtype=bool)
-        if compiled.load() is None:
-            return self._compute_survivors_sequential(capacity)
-        lo = int(sec.min())
-        nids = int(sec.max()) - lo + 1
-        if nids <= _DENSE_RANGE_FACTOR * sec.size:
-            ids = sec - lo
-        else:
-            uniq, ids = np.unique(sec, return_inverse=True)
-            nids = uniq.size
-        return compiled.l1_filter(ids, self.offsets[:: self.trip], nids, capacity)
+        with obs.current().tracer.span(
+            "l1_filter", cat="trace", sectors=sec.size, capacity=capacity,
+        ):
+            if sec.size == 0:
+                return np.empty(0, dtype=bool)
+            if compiled.load() is None:
+                return self._survivors_sequential(capacity)
+            lo = int(sec.min())
+            nids = int(sec.max()) - lo + 1
+            if nids <= _DENSE_RANGE_FACTOR * sec.size:
+                ids = sec - lo
+            else:
+                uniq, ids = np.unique(sec, return_inverse=True)
+                nids = uniq.size
+            return compiled.l1_filter(ids, self.offsets[:: self.trip], nids, capacity)
 
-    def _compute_survivors_sequential(self, capacity: int) -> np.ndarray:
+    def _survivors_sequential(self, capacity: int) -> np.ndarray:
         """Per-TB filter in Python: the no-compiler fallback and the
         kernel's parity oracle in tests."""
         survive = np.empty(self.sectors.size, dtype=bool)
@@ -190,31 +155,25 @@ class LaunchTrace:
 
     # ------------------------------------------------------------------
     def survivor_layout(
-        self, capacity: int, num_sets: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Survivor-compacted arrays for the L2 walk, with block offsets.
+        self, capacity: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The L1 survivor stream for the L2 walk, built once per capacity.
 
-        Returns ``(offsets, sectors, sets, site_index)`` where ``offsets``
-        indexes ``(tb, m)`` blocks of the compacted arrays exactly like
-        :attr:`offsets` does for the full trace.
+        Returns ``(offsets, sectors, site_index)`` of the sectors that miss
+        the per-TB L1 filter, where ``offsets`` indexes ``(tb, m)`` blocks
+        of the compacted arrays exactly like :attr:`offsets` does for the
+        full trace.
         """
-        key = (capacity, num_sets)
-        cached = self._survivor_streams.get(key)
-        if cached is None:
+        stream = self._survivor_streams.get(capacity)
+        if stream is None:
             mask = self.survivors(capacity)
-            lengths = np.diff(self.offsets)
-            block_ids = np.repeat(np.arange(lengths.size), lengths)
-            counts = np.bincount(block_ids[mask], minlength=lengths.size)
-            offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            cached = (
-                offsets,
-                self.sectors[mask],
-                self.set_indices(num_sets)[mask],
-                self.site_index[mask],
-            )
-            self._survivor_streams[key] = cached
-        return cached
+            # Survivors before each element; sampled at block starts, that
+            # is the compacted block offsets.
+            before = np.zeros(mask.size + 1, dtype=np.int64)
+            np.cumsum(mask, out=before[1:])
+            stream = (before[self.offsets], self.sectors[mask], self.site_index[mask])
+            self._survivor_streams[capacity] = stream
+        return stream
 
 
 def _lru_filter_misses(stream: np.ndarray, capacity: int) -> np.ndarray:
@@ -298,14 +257,10 @@ def build_launch_trace(
         site_index = np.empty(0, dtype=np.int16)
         block_ids = np.empty(0, dtype=np.int64)
 
-    pages = (sectors * sector_bytes) // space.page_size - space.first_page
-
-    trace = LaunchTrace(ntb, trip, sectors, pages, site_index, site_arrays)
     counts = np.bincount(block_ids, minlength=ntb * trip)
     offsets = np.zeros(ntb * trip + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    trace.offsets = offsets
-    return trace
+    return LaunchTrace(ntb, trip, sectors, site_index, site_arrays, offsets)
 
 
 # ----------------------------------------------------------------------
@@ -315,11 +270,14 @@ class TraceCache:
     """LRU-bounded store of :class:`LaunchTrace` objects.
 
     Keys combine launch identity with the two layout parameters the sector
-    and page streams depend on.  Identity is the program *object* (identity
-    hash) plus the launch index -- never ``id()`` alone, which the allocator
-    recycles once a program is garbage-collected.  The budget bounds total
-    cached bytes; least-recently-used entries are dropped when it
-    overflows.
+    stream depends on (allocations are page-aligned, so the page size moves
+    their addresses).  Identity is the program *object* (identity hash) plus
+    the launch index -- never ``id()`` alone, which the allocator recycles
+    once a program is garbage-collected.  The budget bounds total cached
+    bytes and is checked on each fetch, hits included, because an entry
+    grows after insertion as replays build its survivor streams;
+    least-recently-used entries are dropped while it overflows, never the
+    one being returned.
     """
 
     def __init__(self, max_bytes: Optional[int] = None):
@@ -345,36 +303,30 @@ class TraceCache:
         ``launch_key`` is the caller's identity tuple for the launch --
         typically ``(program, launch_index)``; keying on the object keeps
         it alive for the entry's lifetime, so the key cannot be recycled.
+        Every fetch, hit or miss, ends by enforcing the byte bound.
         """
         key = (launch_key, sector_bytes, space.page_size)
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
             self.hits += 1
-            return entry[0]
-        self.misses += 1
-        t0 = time.perf_counter()
-        with obs.current().tracer.span(
-            "trace.build", cat="trace", kernel=launch.kernel.name
-        ):
-            trace = build_launch_trace(launch, space, sector_bytes)
-        self.build_time_s += time.perf_counter() - t0
-        self.builds += 1
-        tracer_cacheable = all(
-            getattr(site.provider, "trace_cacheable", True)
-            for site in launch.kernel.accesses
-            if site.provider is not None
-        )
-        if tracer_cacheable and trace.nbytes <= self.max_bytes:
-            self._entries[key] = (trace, launch)
-            self._evict()
+            trace = entry[0]
+        else:
+            self.misses += 1
+            t0 = time.perf_counter()
+            with obs.current().tracer.span(
+                "trace.build", cat="trace", kernel=launch.kernel.name
+            ):
+                trace = build_launch_trace(launch, space, sector_bytes)
+            self.build_time_s += time.perf_counter() - t0
+            self.builds += 1
+            if trace.nbytes <= self.max_bytes:
+                self._entries[key] = (trace, launch)
+        self._evict()
         return trace
 
     def _evict(self) -> None:
-        while (
-            len(self._entries) > 1
-            and sum(t.nbytes for t, _ in self._entries.values()) > self.max_bytes
-        ):
+        while len(self._entries) > 1 and self.cached_bytes > self.max_bytes:
             self._entries.popitem(last=False)
 
     def clear(self) -> None:

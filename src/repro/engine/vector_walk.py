@@ -11,8 +11,9 @@ legacy walk (same byte counts, hit rates, traffic-class splits, LRU state):
     launch is resolved with one vectorised pass before the walk begins.
 2.  **The per-TB L1 filter is precomputed.**  It is an always-insert
     fully-associative LRU over each TB's own stream, so its hit/miss outcome
-    is strategy-independent and comes with the cached trace
-    (:meth:`LaunchTrace.survivors`).
+    is strategy-independent: the cached trace holds the compacted survivor
+    stream per filter capacity (:meth:`LaunchTrace.survivor_layout`), and
+    the walk sees survivors only.
 3.  **All per-node L2 slices live in one global :class:`ArrayLRU`** whose set
     index is ``node * num_sets + (sector % num_sets)``.  Node slices never
     share a set, so this is state-identical to separate caches, and an L2
@@ -24,9 +25,11 @@ legacy walk (same byte counts, hit rates, traffic-class splits, LRU state):
     accumulators.
 
 Accumulators that do not depend on cache state (crossbar request counts,
-warp instructions, page-access profiles, per-block local-sector counts) are
-computed launch-wide with ``bincount``/fancy indexing instead of inside the
-walk.
+warp instructions, page-access profiles) are computed launch-wide with
+``bincount``/fancy indexing instead of inside the walk.  What the trace does
+not store is derived here: survivor pages, homes and set indices from the
+survivor sectors, and full-trace pages only for first-touch resolution and
+page-access profiles, the two readers of non-survivor sectors.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.engine.metrics import KernelMetrics
 from repro.engine.plan import ExecutionPlan, LaunchPlan
 from repro.engine.trace_cache import LaunchTrace
 
-__all__ = ["walk_launch"]
+__all__ = ["survivor_homes", "walk_launch"]
 
 # Traffic-class codes shared with the legacy engine (see simulator module).
 _LL, _LR, _RL = 0, 1, 2
@@ -113,6 +116,13 @@ def _accumulate(
         dram_requests += c[:, 0]
 
 
+def survivor_homes(config, plan: ExecutionPlan, trace: LaunchTrace) -> np.ndarray:
+    """Home nodes of the launch's L1 survivors, paged from their sectors."""
+    ssec = trace.survivor_layout(config.l1_filter_sectors)[1]
+    pages = plan.space.pages_of_addresses(ssec * config.l2.sector_bytes)
+    return plan.page_table.homes_of_pages(pages, toucher=0)
+
+
 # ----------------------------------------------------------------------
 # The launch walk
 # ----------------------------------------------------------------------
@@ -134,12 +144,13 @@ def walk_launch(
     Returns ``(metrics, xbar_requests, dram_requests, transfers, stats_acc)``
     in the same shapes the legacy walk produces, for a shared finalize step.
 
-    ``homes`` optionally passes the precomputed per-sector home nodes (the
-    walk-memo key derivation already gathered them); only valid when the
-    page table is fully mapped.
+    ``homes`` optionally passes the precomputed home nodes of the L1
+    survivors (the walk-memo key derivation already gathered them); only
+    valid when the page table is fully mapped.
     """
     num_nodes = config.num_nodes
     num_sets = config.l2.num_sets
+    sector_bytes = config.l2.sector_bytes
     remote_caching = config.remote_caching
     launch = lp.launch
     kernel = launch.kernel
@@ -167,41 +178,39 @@ def walk_launch(
         np.bincount(tb_nodes, minlength=num_nodes) * float(insts_per_tb)
     )
 
-    lengths = np.diff(trace.offsets)
+    soff, ssec, ssite = trace.survivor_layout(config.l1_filter_sectors)
     block_tb = np.repeat(np.arange(ntb, dtype=np.int64), trip)
-    tb_per_sector = np.repeat(block_tb, lengths)
 
     # ------------------------------------------------------------------
-    # Stage 1: resolve every first-touch fault of the launch up front.
+    # Stage 1: resolve every first-touch fault of the launch up front, and
+    # profile page accesses -- the only readers of non-survivor pages.
     # ------------------------------------------------------------------
-    if page_table.has_unmapped and trace.total_sectors:
-        # The walk visits block (tb, m) at step m * ntb + rotated position,
-        # so the first-touch stream is just the blocks' sector ranges
-        # concatenated in step order -- built directly instead of argsorting
-        # per-sector step keys (the sort dominated stage 1 on FT plans).
-        touch_order = _walk_order(order, trip, trace.offsets, lengths)
-        page_table.resolve_first_touch(
-            trace.pages[touch_order], tb_nodes[tb_per_sector[touch_order]]
-        )
+    if trace.total_sectors and (page_table.has_unmapped or page_counts is not None):
+        lengths = np.diff(trace.offsets)
+        pages = plan.space.pages_of_addresses(trace.sectors * sector_bytes)
+        node_per_sector = tb_nodes[np.repeat(block_tb, lengths)]
+        if page_table.has_unmapped:
+            # The walk visits block (tb, m) at step m * ntb + rotated
+            # position, so the first-touch stream is just the blocks' sector
+            # ranges concatenated in step order.
+            touch_order = _walk_order(order, trip, trace.offsets, lengths)
+            page_table.resolve_first_touch(
+                pages[touch_order], node_per_sector[touch_order]
+            )
+        if page_counts is not None:
+            for node in range(num_nodes):
+                sel = node_per_sector == node
+                if sel.any():
+                    np.add.at(page_counts[node], pages[sel], 1)
     if homes is None:
-        homes = page_table.homes_of_pages(trace.pages, toucher=0)
+        homes = survivor_homes(config, plan, trace)
 
     # ------------------------------------------------------------------
-    # Stage 2: launch-wide, order-independent accumulators.
+    # Stage 2: launch-wide, order-independent survivor attributes.
     # ------------------------------------------------------------------
-    if page_counts is not None and trace.total_sectors:
-        node_per_sector = tb_nodes[tb_per_sector]
-        for node in range(num_nodes):
-            sel = node_per_sector == node
-            if sel.any():
-                np.add.at(page_counts[node], trace.pages[sel], 1)
-
-    l1_capacity = config.l1_filter_sectors
-    soff, ssec, ssets, ssite = trace.survivor_layout(l1_capacity, num_sets)
-    mask = trace.survivors(l1_capacity)
-    shome = np.asarray(homes, dtype=np.int64)[mask]
-    s_tb = tb_per_sector[mask]
-    s_node = tb_nodes[s_tb]
+    slengths = np.diff(soff)
+    shome = np.asarray(homes, dtype=np.int64)
+    s_node = tb_nodes[np.repeat(block_tb, slengths)]
     slocal = shome == s_node
 
     insert_at_home = np.array(
@@ -214,6 +223,7 @@ def walk_launch(
         sins = np.empty(0, dtype=bool)
 
     # Global set indices: requester-side (own node's slice) and home-side.
+    ssets = ssec % num_sets
     greq = s_node * num_sets + ssets
     ghome = shome * num_sets + ssets
     if remote_caching:
@@ -232,7 +242,7 @@ def walk_launch(
     # L1 filter.
     # ------------------------------------------------------------------
     if ssec.size:
-        w = _walk_order(order, trip, soff, np.diff(soff))
+        w = _walk_order(order, trip, soff, slengths)
         with tr.span("native_walk", cat="walk", accesses=int(w.size)):
             req_hit, home_hit = l2.walk(w, ssec, greq, ghome, slocal, req_ins, sins)
         home_present = ~(slocal | req_hit)

@@ -30,6 +30,11 @@ A memo hit must reproduce *every* observable effect of the walk it skips.
 * page-access profiling is off -- ``page_counts`` accumulation is a side
   effect the memo does not capture.
 
+These two exclusions are also what let the key see L1 survivors only: the
+walk reads the homes of sectors that hit the per-TB L1 filter for nothing
+but first-touch resolution and ``page_counts``, so an eligible walk is a
+function of its survivors' homes.
+
 The key then pins every remaining input of the walk:
 
 * the :class:`LaunchTrace` **object** (identity hash, strong reference --
@@ -38,8 +43,8 @@ The key then pins every remaining input of the walk:
 * the threadblock placement (``tb_nodes`` bytes),
 * the per-array insertion policies (RTWICE/RONCE et al., the only policy
   bit the walk reads),
-* a digest of the per-sector home nodes (page placement differs across
-  strategies even for one trace),
+* a digest of the L1 survivors' home nodes (page placement differs
+  across strategies even for one trace),
 * the cache/topology geometry the walk depends on.
 
 Entries store the walk's raw outputs (per-node accumulators, warp
@@ -106,7 +111,7 @@ class WalkMemo:
     # ------------------------------------------------------------------
     @staticmethod
     def make_key(trace, lp, config, homes: np.ndarray) -> tuple:
-        """Key one launch walk; ``homes`` is the per-sector home-node array.
+        """Key one launch walk; ``homes`` holds the L1 survivors' home nodes.
 
         Callers must have established :func:`eligible` first -- the key
         encodes a clean-lineage walk and is meaningless otherwise.

@@ -70,22 +70,9 @@ class MatrixResult:
     scale: str
     #: results[workload][strategy] -> RunResult
     results: Dict[str, Dict[str, RunResult]] = field(default_factory=dict)
-    #: stage_times[workload] -> simulator wall-clock splits summed over the
-    #: workload's strategies ({trace, walk, finalize}).
-    #: One workload is one worker job, so in a parallel run this is the
-    #: per-worker time breakdown.
-    stage_times: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def get(self, workload: str, strategy: str) -> RunResult:
         return self.results[workload][strategy]
-
-    def total_stage_times(self) -> Dict[str, float]:
-        """Stage splits summed across all workloads."""
-        totals: Dict[str, float] = {}
-        for times in self.stage_times.values():
-            for stage, t in times.items():
-                totals[stage] = totals.get(stage, 0.0) + t
-        return totals
 
     def workloads(self) -> List[str]:
         return list(self.results)
@@ -146,15 +133,14 @@ def _run_workload(
     verbose: bool,
     obs_dir: Optional[str] = None,
     seed: Optional[int] = None,
-) -> Tuple[Dict[str, RunResult], Dict[str, float]]:
+) -> Dict[str, RunResult]:
     """All strategies of one workload; the unit of parallel distribution.
 
     The program is built and compiled once and shared across strategies (the
     static analysis is strategy-independent); with the vectorised engine the
     process-wide trace cache makes every strategy after the first replay the
     same trace, and the process-wide walk memo skips repeated identical
-    walks.  Returns the per-strategy results plus the workload's simulator
-    stage-time splits (summed over its strategies).
+    walks.  Returns the per-strategy results.
 
     ``obs_dir`` enables a fresh observability session around the workload
     and writes ``<obs_dir>/<workload>.trace.json`` /
@@ -178,14 +164,11 @@ def _run_workload(
         program = workload.program(scale)
         compiled = compile_program(program)
         per_strategy: Dict[str, RunResult] = {}
-        stage_times: Dict[str, float] = {}
         for strat_name, config in strategies:
             strategy = strategy_by_name(strat_name)
             sim = Simulator(config, engine=engine)
             plan = strategy.plan(compiled, sim.topology)
             result = sim.run(compiled, plan)
-            for stage, t in sim.stage_times.items():
-                stage_times[stage] = stage_times.get(stage, 0.0) + t
             per_strategy[strat_name] = result
             if verbose:
                 print(f"  {workload.name:<14} {result.summary()}", flush=True)
@@ -198,7 +181,7 @@ def _run_workload(
             trace_path, counters_path = _obs_paths(obs_dir, workload.name)
             write_trace(trace_path, session, manifest)
             write_counters(counters_path, session, manifest)
-        return per_strategy, stage_times
+        return per_strategy
     finally:
         if session is not None:
             obs.disable()
@@ -245,13 +228,13 @@ def _hydrate_workload(ref: tuple) -> Workload:
     return payload
 
 
-def _pool_worker(ref: tuple) -> Tuple[str, Dict[str, RunResult], Dict[str, float]]:
+def _pool_worker(ref: tuple) -> Tuple[str, Dict[str, RunResult]]:
     strategies, scale, engine, obs_dir, seed = _POOL_CONTEXT
     workload = _hydrate_workload(ref)
-    per_strategy, stage_times = _run_workload(
+    per_strategy = _run_workload(
         workload, strategies, scale, engine, False, obs_dir=obs_dir, seed=seed
     )
-    return workload.name, per_strategy, stage_times
+    return workload.name, per_strategy
 
 
 def run_matrix(
@@ -278,9 +261,7 @@ def run_matrix(
     workload order, identical to a sequential run -- simulations are
     deterministic and workloads are independent.  ``engine`` selects the
     simulation engine (``"vector"``, ``"legacy"``, or ``None`` for the
-    session default).  Per-workload simulator stage times -- the per-worker
-    time breakdown of a parallel run -- land in
-    :attr:`MatrixResult.stage_times`.
+    session default).
 
     ``obs_dir`` writes one ``<workload>.trace.json`` / ``.counters.json``
     pair per workload into that directory (per-worker traces in a parallel
@@ -299,26 +280,19 @@ def run_matrix(
         context = (tuple(strategies), scale, engine, obs_dir, seed)
         ctx = multiprocessing.get_context("fork")
         by_name = {}
-        stage_by_name = {}
         with ctx.Pool(
             min(parallel, len(jobs)), initializer=_pool_init, initargs=(context,)
         ) as pool:
-            for wname, per_strategy, stage_times in pool.imap_unordered(
-                _pool_worker, jobs
-            ):
+            for wname, per_strategy in pool.imap_unordered(_pool_worker, jobs):
                 by_name[wname] = per_strategy
-                stage_by_name[wname] = stage_times
                 if verbose:  # stream each workload as its worker finishes
                     for result in per_strategy.values():
                         print(f"  {wname:<14} {result.summary()}", flush=True)
         for workload in workloads:  # deterministic merge: input order
             matrix.results[workload.name] = by_name[workload.name]
-            matrix.stage_times[workload.name] = stage_by_name[workload.name]
         return matrix
     for workload in workloads:
-        per_strategy, stage_times = _run_workload(
+        matrix.results[workload.name] = _run_workload(
             workload, strategies, scale, engine, verbose, obs_dir=obs_dir, seed=seed
         )
-        matrix.results[workload.name] = per_strategy
-        matrix.stage_times[workload.name] = stage_times
     return matrix

@@ -16,10 +16,12 @@ sweep stays fast enough for tier-1.
 
 from contextlib import nullcontext
 
+import numpy as np
 import pytest
 
 from repro.cache.compiled import forced_fallback
-from repro.engine.simulator import simulate
+from repro.compiler.passes import compile_program
+from repro.engine.simulator import Simulator, simulate
 from repro.engine.trace_cache import TraceCache
 from repro.experiments.runner import strategy_by_name
 from repro.topology.config import bench_hierarchical, bench_monolithic
@@ -83,3 +85,22 @@ def test_all_pairs_covered():
     for i in range(len(WORKLOAD_NAMES)):
         seen.update(_pairs_for(i))
     assert seen == set(PAIRS)
+
+
+@pytest.mark.parametrize("sname", ["LADM", "Batch+FT"])
+@pytest.mark.parametrize("wname", ["vecadd", "conv", "pagerank"])
+def test_page_access_profiles_agree(wname, sname):
+    """``profile_pages=True`` counts equal arrays on every engine, under a
+    mapped plan (LADM) and a first-touch one (Batch+FT)."""
+
+    def profile(engine, walk=nullcontext):
+        compiled = compile_program(get_workload(wname).program(TEST))
+        sim = Simulator(bench_hierarchical(), engine=engine, trace_cache=TraceCache())
+        plan = strategy_by_name(sname).plan(compiled, sim.topology)
+        with walk():
+            return sim.run(compiled, plan, profile_pages=True).page_access_counts
+
+    want = profile("legacy")
+    assert want.sum() > 0
+    for walk in (nullcontext, forced_fallback):
+        np.testing.assert_array_equal(profile("vector", walk), want)

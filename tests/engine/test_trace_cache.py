@@ -16,12 +16,9 @@ from repro.engine.trace_cache import (
     LaunchTrace,
     TraceCache,
     _lru_filter_misses,
-    build_launch_trace,
 )
 from repro.errors import SimulationError
 from repro.experiments.runner import strategy_by_name
-from repro.kir.kernel import Dim2, IndirectAccess, Kernel, data_var
-from repro.kir.program import Program
 from repro.memory.address_space import AddressSpace
 from repro.obs import ObsSession
 from repro.topology.config import bench_hierarchical
@@ -118,44 +115,49 @@ class TestEvictionAndOptOut:
         assert len(cache) == 1  # older traces evicted, newest kept
 
     def test_nbytes_counts_every_held_array(self):
-        """The byte budget sees all a trace holds, arrays derived on replay
-        included (survivor masks, set indices, survivor streams)."""
+        """The byte budget sees all a trace holds: sectors, site index,
+        offsets and one survivor stream per L1 capacity, however many L2
+        geometries share that capacity."""
         prog = make_gemm_program(side=64)
-        trace = build_launch_trace(prog.launches[0], AddressSpace(prog, 4096), 32)
-        layouts = ((4, 64), (4, 128), (8, 64))
-        for capacity, num_sets in layouts:
-            trace.survivor_layout(capacity, num_sets)
-        held = [trace.sectors, trace.pages, trace.site_index, trace.offsets]
-        held += [trace.survivors(capacity) for capacity in (4, 8)]
-        held += [trace.set_indices(num_sets) for num_sets in (64, 128)]
-        for capacity, num_sets in layouts:
-            held += trace.survivor_layout(capacity, num_sets)
-        assert trace.nbytes == sum(a.nbytes for a in held)
-
-    def test_trace_cacheable_opt_out(self):
-        """A provider marked trace_cacheable=False is never stored."""
-        prog = Program("gather")
-        prog.malloc_managed("X", 4096, 4)
-
-        def provider(ctx):
-            return (ctx.linear_tid * 13) % 512
-
-        provider.trace_cacheable = False
-        k = Kernel(
-            "gather", Dim2(32), {"X": 4},
-            [IndirectAccess("X", data_var("i"), provider)],
-            insts_per_thread=4,
-        )
-        prog.launch(k, Dim2(2), {"X": "X"})
         cache = TraceCache()
-        cfg = bench_hierarchical()
-        for _ in range(2):
+        hier = bench_hierarchical()
+        wider_l2 = replace(hier, l2=replace(hier.l2, size=2 * hier.l2.size))
+        smaller_l1 = replace(hier, l1_filter_sectors=8)
+        assert wider_l2.l2.num_sets != hier.l2.num_sets
+        for cfg in (hier, wider_l2, smaller_l1):
             simulate(prog, strategy_by_name("LADM"), cfg, engine="vector",
                      trace_cache=cache)
-        stats = cache.stats()
-        assert len(cache) == 0
-        assert stats["builds"] == 2  # re-traced every run, never cached
-        assert stats["hits"] == 0
+        ((trace, _),) = cache._entries.values()
+        held = [trace.sectors, trace.site_index, trace.offsets]
+        for capacity in (hier.l1_filter_sectors, 8):
+            held += trace.survivor_layout(capacity)
+        assert len(trace._survivor_streams) == 2
+        assert trace.nbytes == sum(a.nbytes for a in held)
+
+    def test_bound_enforced_when_entries_grow(self):
+        """Survivor streams grow entries after insertion; the next fetch,
+        a hit, evicts back under the bound and keeps the entry it returns."""
+        progs = [make_gemm_program(side=32) for _ in range(2)]
+        capacity = bench_hierarchical().l1_filter_sectors
+
+        def fetch(cache, prog):
+            space = AddressSpace(prog, 512)
+            return cache.get(prog.launches[0], (prog, 0), space, 32)
+
+        probe = fetch(TraceCache(), progs[0])
+        base = probe.nbytes
+        probe.survivor_layout(capacity)
+        grown = probe.nbytes
+        cache = TraceCache(max_bytes=max(2 * base, grown))
+        traces = [fetch(cache, prog) for prog in progs]
+        assert len(cache) == 2
+        for trace in traces:
+            trace.survivor_layout(capacity)
+        assert cache.cached_bytes == 2 * grown > cache.max_bytes
+        assert fetch(cache, progs[1]) is traces[1]
+        assert cache.cached_bytes <= cache.max_bytes
+        ((kept, _),) = cache._entries.values()
+        assert kept is traces[1]
 
     def test_default_cache_used_when_none_passed(self):
         sim = Simulator(bench_hierarchical(), engine="vector")
@@ -170,16 +172,14 @@ def _synthetic_trace(block_streams, trip=1):
     ) if block_streams else np.empty(0, dtype=np.int64)
     offsets = np.zeros(len(block_streams) + 1, dtype=np.int64)
     np.cumsum([len(b) for b in block_streams], out=offsets[1:])
-    trace = LaunchTrace(
+    return LaunchTrace(
         num_threadblocks=ntb,
         trip=trip,
         sectors=sectors,
-        pages=sectors.copy(),
         site_index=np.zeros(sectors.size, dtype=np.int64),
         site_arrays=["X"],
+        offsets=offsets,
     )
-    trace.offsets = offsets
-    return trace
 
 
 def _legs():
@@ -205,11 +205,11 @@ def _per_tb_lru(trace, capacity):
 
 
 def _assert_filter_agrees(trace, capacity, leg):
-    """``_compute_survivors`` under ``leg`` == the sequential filter == the
-    per-TB ``OrderedDict`` oracle; returns the mask."""
+    """``survivors`` under ``leg`` == the sequential filter == the per-TB
+    ``OrderedDict`` oracle; returns the mask."""
     with leg():
-        got = trace._compute_survivors(capacity)
-    want = trace._compute_survivors_sequential(capacity)
+        got = trace.survivors(capacity)
+    want = trace._survivors_sequential(capacity)
     assert got.dtype == bool and got.shape == trace.sectors.shape
     assert got.tolist() == want.tolist()
     assert got.tolist() == _per_tb_lru(trace, capacity).tolist()
@@ -313,7 +313,7 @@ class TestSurvivorFilter:
         miss = _assert_filter_agrees(trace, 2, leg)
         assert miss.tolist() == [True, True, False, True, False]
         with leg():
-            assert _synthetic_trace([[], []])._compute_survivors(2).size == 0
+            assert _synthetic_trace([[], []]).survivors(2).size == 0
 
     @pytest.mark.parametrize("leg", LEGS)
     @pytest.mark.parametrize(
@@ -340,15 +340,16 @@ class TestSurvivorFilter:
             compiled.l1_filter(np.zeros(2, np.int64), np.array([0, 2]), 1, 1)
 
     def test_first_computation_is_a_span(self):
-        """The filter books an ``l1_filter`` span (cat ``trace``) the first time
-        a capacity is asked for, and none when the mask is reused."""
+        """The filter books one ``l1_filter`` span (cat ``trace``) per capacity:
+        when its survivor stream is built, none when the stream is reused."""
         trace = _synthetic_trace([[1, 2, 1], [3]])
         before = obs.current()
         session = obs.install(ObsSession(enabled=True))
         try:
-            trace.survivors(2)
-            trace.survivors(2)
-            trace.survivors(1)
+            trace.survivor_layout(2)
+            trace.survivor_layout(2)
+            trace.survivor_layout(1)
+            trace.survivor_layout(2)
         finally:
             obs.install(before)
         spans = [ev for ev in session.tracer.events() if ev["name"] == "l1_filter"]

@@ -74,6 +74,13 @@ class TestParallelMatrix:
             == vector.get("vecadd", "H-CODA").snapshot()
         )
 
+    def test_parallel_verbose_streams_summaries(self, capsys):
+        workloads = [get_workload(n) for n in ("vecadd", "scalarprod")]
+        strategies = [("H-CODA", bench_hierarchical())]
+        run_matrix(workloads, strategies, TEST, verbose=True, parallel=2)
+        out = capsys.readouterr().out
+        assert "vecadd" in out and "scalarprod" in out
+
 
 class _StochasticBuild:
     """A picklable builder that draws sizes from the global RNG.
@@ -155,38 +162,3 @@ class TestSeededMatrix:
         strategies = [("H-CODA", bench_hierarchical())]
         res = run_matrix(workloads, strategies, TEST)
         assert set(res.results) == {"vecadd"}
-
-
-STAGE_KEYS = {"trace", "walk", "finalize"}
-
-
-class TestStageTimes:
-    def test_sequential_records_per_workload_splits(self):
-        workloads = [get_workload(n) for n in ("vecadd", "conv")]
-        strategies = [("H-CODA", bench_hierarchical())]
-        res = run_matrix(workloads, strategies, TEST, engine="vector")
-        assert set(res.stage_times) == {"vecadd", "conv"}
-        for times in res.stage_times.values():
-            assert STAGE_KEYS <= set(times)
-            assert all(t >= 0.0 for t in times.values())
-            assert times["trace"] + times["walk"] > 0.0
-        totals = res.total_stage_times()
-        assert STAGE_KEYS <= set(totals)
-        assert totals["walk"] == pytest.approx(
-            sum(t["walk"] for t in res.stage_times.values())
-        )
-
-    def test_parallel_reports_per_worker_splits(self):
-        workloads = [get_workload(n) for n in ("vecadd", "scalarprod")]
-        strategies = [("H-CODA", bench_hierarchical())]
-        res = run_matrix(workloads, strategies, TEST, parallel=2)
-        assert list(res.stage_times) == ["vecadd", "scalarprod"]
-        for times in res.stage_times.values():
-            assert STAGE_KEYS <= set(times)
-
-    def test_parallel_verbose_streams_summaries(self, capsys):
-        workloads = [get_workload(n) for n in ("vecadd", "scalarprod")]
-        strategies = [("H-CODA", bench_hierarchical())]
-        run_matrix(workloads, strategies, TEST, verbose=True, parallel=2)
-        out = capsys.readouterr().out
-        assert "vecadd" in out and "scalarprod" in out
