@@ -135,10 +135,6 @@ class Simulator:
         self.walk_memo = walk_memo
         self.obs_session = obs_session
         self._obs_strategy = ""  # strategy label for counters, set per run()
-        #: walk-memo telemetry, accumulated across run() calls
-        self.walk_counters = dict.fromkeys(
-            ("memo_hits", "memo_misses", "memo_ineligible"), 0
-        )
 
     # ------------------------------------------------------------------
     def run(
@@ -268,7 +264,6 @@ class Simulator:
         )
         order = _wave_order(lp.tb_nodes, cfg.num_nodes)
 
-        counters = self.walk_counters
         memo = self.walk_memo
         if memo is None and memo_enabled():
             memo = default_walk_memo()
@@ -302,8 +297,6 @@ class Simulator:
                 )
             if key is not None:
                 memo.put(key, metrics, xbar, dram, transfers, stats)
-        counters["memo_" + ("ineligible" if memo_status == "ineligible" else
-                            ("hits" if memo_status == "hit" else "misses"))] += 1
         reg.inc("walk.memo", outcome=memo_status)
         with tr.span("finalize", cat="walk"):
             self._finalize(metrics, xbar, dram, transfers, stats, session=session)

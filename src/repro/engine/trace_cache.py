@@ -33,7 +33,6 @@ holds the program object, so its identity cannot be recycled.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -211,7 +210,9 @@ def build_launch_trace(
     Every site, affine or data-dependent, is evaluated for all
     threadblocks in one broadcast.  The final element order is identical
     to the legacy engine's visit order: threadblock-major, iteration next,
-    sites in program order, sectors ascending within one site.
+    sites in program order, sectors ascending within one site.  Chunks
+    arrive iteration-major in site order, so each is scattered straight
+    into its ``(tb, m)`` blocks behind the earlier sites there: no sort.
     """
     tracer = launch_tracer(launch, space, sector_bytes)
     ntb = launch.num_threadblocks
@@ -219,48 +220,40 @@ def build_launch_trace(
 
     site_arrays: List[str] = []
     site_rank_of: Dict[int, int] = {}
-
-    chunks_sec: List[np.ndarray] = []
-    chunks_tb: List[np.ndarray] = []
-    chunks_m: List[np.ndarray] = []
-    chunks_rank: List[np.ndarray] = []
-    chunks_site: List[np.ndarray] = []
-
+    chunks = []
+    counts = np.zeros((ntb, trip), dtype=np.int64)
     for m in range(trip):
-        for rank, site in enumerate(tracer.sites_at(m)):
+        for site in tracer.sites_at(m):
             sid = id(site)
             if sid not in site_rank_of:
                 site_rank_of[sid] = len(site_arrays)
                 site_arrays.append(launch.args[site.array])
-            site_idx = site_rank_of[sid]
-            sectors, counts = tracer.site_sectors_all_tbs(site, m)
-            chunks_sec.append(sectors)
-            chunks_tb.append(np.repeat(np.arange(ntb, dtype=np.int64), counts))
-            chunks_m.append(np.full(sectors.size, m, dtype=np.int64))
-            chunks_rank.append(np.full(sectors.size, rank, dtype=np.int64))
-            chunks_site.append(np.full(sectors.size, site_idx, dtype=np.int16))
+            sectors, tb_counts = tracer.site_sectors_all_tbs(site, m)
+            chunks.append((m, site_rank_of[sid], sectors, tb_counts))
+            counts[:, m] += tb_counts
 
-    if chunks_sec:
-        sectors = np.concatenate(chunks_sec)
-        tb_ids = np.concatenate(chunks_tb)
-        m_ids = np.concatenate(chunks_m)
-        ranks = np.concatenate(chunks_rank)
-        site_index = np.concatenate(chunks_site)
-        # Reorder to (tb, m, site-rank) blocks; lexsort is stable so each
-        # site's ascending sector order is preserved.
-        perm = np.lexsort((ranks, m_ids, tb_ids))
-        sectors = sectors[perm]
-        site_index = site_index[perm]
-        block_ids = tb_ids[perm] * trip + m_ids[perm]
-    else:
-        sectors = np.empty(0, dtype=np.int64)
-        site_index = np.empty(0, dtype=np.int16)
-        block_ids = np.empty(0, dtype=np.int64)
-
-    counts = np.bincount(block_ids, minlength=ntb * trip)
     offsets = np.zeros(ntb * trip + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    np.cumsum(counts.ravel(), out=offsets[1:])
+    sectors = np.empty(int(offsets[-1]), dtype=np.int64)
+    site_index = np.empty(sectors.size, dtype=np.int16)
+    fill = offsets[:-1].reshape(ntb, trip).copy()
+    for m, site_idx, chunk, tb_counts in chunks:
+        dest = _concat_ranges(fill[:, m], tb_counts)
+        sectors[dest] = chunk
+        site_index[dest] = site_idx
+        fill[:, m] += tb_counts
     return LaunchTrace(ntb, trip, sectors, site_index, site_arrays, offsets)
+
+
+def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenate ``[arange(s, s+l) for s, l in zip(starts, lengths)]``."""
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    bases = np.repeat(starts, lengths)
+    prefix = np.zeros(lengths.size, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=prefix[1:])
+    return bases + (np.arange(total, dtype=np.int64) - np.repeat(prefix, lengths))
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +281,6 @@ class TraceCache:
         self.hits = 0
         self.misses = 0
         self.builds = 0
-        self.build_time_s = 0.0
 
     # ------------------------------------------------------------------
     def get(
@@ -313,12 +305,10 @@ class TraceCache:
             trace = entry[0]
         else:
             self.misses += 1
-            t0 = time.perf_counter()
             with obs.current().tracer.span(
                 "trace.build", cat="trace", kernel=launch.kernel.name
             ):
                 trace = build_launch_trace(launch, space, sector_bytes)
-            self.build_time_s += time.perf_counter() - t0
             self.builds += 1
             if trace.nbytes <= self.max_bytes:
                 self._entries[key] = (trace, launch)
@@ -344,7 +334,6 @@ class TraceCache:
             "hits": self.hits,
             "misses": self.misses,
             "builds": self.builds,
-            "build_time_s": self.build_time_s,
             "entries": len(self._entries),
             "bytes": self.cached_bytes,
         }

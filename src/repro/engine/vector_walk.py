@@ -42,7 +42,7 @@ from repro import obs
 from repro.cache.array_lru import ArrayLRU
 from repro.engine.metrics import KernelMetrics
 from repro.engine.plan import ExecutionPlan, LaunchPlan
-from repro.engine.trace_cache import LaunchTrace
+from repro.engine.trace_cache import LaunchTrace, _concat_ranges
 
 __all__ = ["survivor_homes", "walk_launch"]
 
@@ -66,17 +66,6 @@ def _walk_order(
     pos = (np.arange(ntb, dtype=np.int64)[None, :] + shift[:, None]) % max(1, ntb)
     blocks = (order[pos] * trip + m[:, None]).ravel()
     return _concat_ranges(offsets[blocks], lengths[blocks])
-
-
-def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenate ``[arange(s, s+l) for s, l in zip(starts, lengths)]``."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    bases = np.repeat(starts, lengths)
-    prefix = np.zeros(lengths.size, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=prefix[1:])
-    return bases + (np.arange(total, dtype=np.int64) - np.repeat(prefix, lengths))
 
 
 def _accumulate(

@@ -350,7 +350,8 @@ def _check_strategy(
     memo_a, _ = _run(
         program, compiled, strategy_name, config, "vector", trace_cache, memo
     )
-    memo_b, sim_b = _run(
+    hits_before = memo.hits
+    memo_b, _ = _run(
         program, compiled, strategy_name, config, "vector", trace_cache, memo
     )
     for label, run in (("first", memo_a), ("second", memo_b)):
@@ -365,7 +366,7 @@ def _check_strategy(
                     message=f"memoised walk ({label} run) diverges: {detail}",
                 )
             )
-    if memo.misses and not sim_b.walk_counters["memo_hits"] and not failures:
+    if memo.misses and memo.hits == hits_before and not failures:
         # Eligible launches were memoised on run A but run B never hit:
         # the memo key is unstable, which silently disables the fast path.
         failures.append(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.trace import launch_tracer, trace_threadblock
+from repro.engine.trace_cache import build_launch_trace
 from repro.fuzz.genprog import AccessSpec, KernelSpec, ProgramSpec, build_program
 from repro.kir.expr import BDX, BX, BY, GDX, M, TX, TY, param
 from repro.kir.kernel import (
@@ -166,6 +167,25 @@ def _provider_sites_match_per_tb(prog, page=512) -> int:
     return checked
 
 
+def _fuzz_provider_program() -> Program:
+    """One fuzz kernel with once- and loop-site data-dependent accesses."""
+    kernel = KernelSpec(
+        name="k",
+        bdx=8,
+        bdy=2,
+        gdx=3,
+        gdy=2,
+        trip=3,
+        accesses=(
+            AccessSpec(alloc="a", shape="data", data_seed=5),
+            AccessSpec(alloc="b", shape="data", in_loop=True, data_seed=11),
+            AccessSpec(alloc="a", shape="data_itl", in_loop=True, data_seed=7),
+        ),
+    )
+    spec = ProgramSpec("fz", elem_sizes=(("a", 4), ("b", 8)), kernels=(kernel,))
+    return build_program(spec)
+
+
 class TestProviderBroadcast:
     """The trace cache calls each provider once for every threadblock; the
     legacy walk calls it once per threadblock.  Both must trace alike."""
@@ -189,21 +209,7 @@ class TestProviderBroadcast:
         assert _provider_sites_match_per_tb(prog) > 0
 
     def test_fuzz_providers(self):
-        kernel = KernelSpec(
-            name="k",
-            bdx=8,
-            bdy=2,
-            gdx=3,
-            gdy=2,
-            trip=3,
-            accesses=(
-                AccessSpec(alloc="a", shape="data", data_seed=5),
-                AccessSpec(alloc="b", shape="data", in_loop=True, data_seed=11),
-                AccessSpec(alloc="a", shape="data_itl", in_loop=True, data_seed=7),
-            ),
-        )
-        spec = ProgramSpec("fz", elem_sizes=(("a", 4), ("b", 8)), kernels=(kernel,))
-        assert _provider_sites_match_per_tb(build_program(spec)) == 7
+        assert _provider_sites_match_per_tb(_fuzz_provider_program()) == 7
 
     @pytest.mark.parametrize(
         "provider",
@@ -225,3 +231,90 @@ class TestProviderBroadcast:
         )
         prog.launch(k, Dim2(3, 2), {"X": "X"})
         assert _provider_sites_match_per_tb(prog) == 2
+
+
+def _check_block_layout(launch, space, sector_bytes=32):
+    """Check every ``(tb, m)`` block of the flattened trace against the
+    per-TB tracer: the block's sectors are its sites' sector streams in
+    program order, each sector named by its site's allocation.
+
+    Returns the checked trace.
+    """
+    trace = build_launch_trace(launch, space, sector_bytes)
+    tracer = launch_tracer(launch, space, sector_bytes)
+    ntb, trip = launch.num_threadblocks, tracer.trip
+    assert (trace.num_threadblocks, trace.trip) == (ntb, trip)
+    assert trace.sectors.dtype == np.int64
+    assert trace.site_index.dtype == np.int16
+    assert trace.offsets.dtype == np.int64
+    assert trace.offsets.size == ntb * trip + 1
+    assert trace.offsets[0] == 0 and trace.offsets[-1] == trace.sectors.size
+    assert trace.site_index.size == trace.sectors.size
+    for tb in range(ntb):
+        for m in range(trip):
+            b = tb * trip + m
+            lo, hi = trace.offsets[b], trace.offsets[b + 1]
+            reqs = tracer.iteration_requests(tb, m)
+            expected = [sr.sectors for sr in reqs]
+            np.testing.assert_array_equal(
+                trace.sectors[lo:hi],
+                np.concatenate(expected) if expected else np.empty(0, np.int64),
+            )
+            arrays = [trace.site_arrays[i] for i in trace.site_index[lo:hi]]
+            assert arrays == [sr.array for sr in reqs for _ in sr.sectors]
+    return trace
+
+
+class TestTraceLayout:
+    """The flattened trace is threadblock-major, then iteration, then sites
+    in program order: block ``(tb, m)`` replays exactly what the per-TB
+    tracer yields for that threadblock and iteration."""
+
+    def test_trip_one(self):
+        prog = make_vecadd_program(n=1024, block_x=64)
+        trace = _check_block_layout(prog.launches[0], _space(prog))
+        assert trace.total_sectors == 16 * 3 * 8
+
+    def test_once_sites_run_only_at_first_iteration(self):
+        prog = make_gemm_program(side=64)
+        trace = _check_block_layout(prog.launches[0], _space(prog))
+        assert trace.trip > 1
+        c = trace.site_arrays.index("C")
+        for tb in range(trace.num_threadblocks):
+            for m in range(trace.trip):
+                b = tb * trace.trip + m
+                block = trace.site_index[trace.offsets[b] : trace.offsets[b + 1]]
+                assert (c in block) == (m == 0)
+
+    def test_blocks_without_sectors(self):
+        """A loop with only once-sites leaves every block past the first
+        iteration empty, and a kernel with no sites traces to nothing."""
+        prog = Program("once")
+        prog.malloc_managed("A", 1024, 4)
+        prog.malloc_managed("B", 1024, 4)
+        once = Kernel(
+            "once",
+            Dim2(32),
+            {"A": 4, "B": 4},
+            [GlobalAccess("A", BX * BDX + TX), GlobalAccess("B", BX)],
+            loop=LoopSpec(3),
+        )
+        bare = Kernel("bare", Dim2(32), {"A": 4}, [], loop=LoopSpec(2))
+        prog.launch(once, Dim2(4), {"A": "A", "B": "B"})
+        prog.launch(bare, Dim2(4), {"A": "A"})
+        space = _space(prog)
+        trace = _check_block_layout(prog.launches[0], space)
+        assert trace.total_sectors == 4 * (4 + 1)
+        assert np.diff(trace.offsets).reshape(4, 3)[:, 1:].sum() == 0
+        assert _check_block_layout(prog.launches[1], space).total_sectors == 0
+
+    def test_data_dependent_sites(self):
+        prog = _fuzz_provider_program()
+        assert _check_block_layout(prog.launches[0], _space(prog)).total_sectors > 0
+
+    @pytest.mark.parametrize("wname", ["sq_gemm", "pagerank", "spmv_jds"])
+    def test_suite_workloads(self, wname):
+        prog = get_workload(wname).program(TEST)
+        space = _space(prog)
+        for launch in prog.launches:
+            assert _check_block_layout(launch, space).total_sectors > 0
