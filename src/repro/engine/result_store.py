@@ -32,13 +32,13 @@ bit-flipped entries fail closed (treated as a miss, deleted, recomputed),
 never crash the caller.
 
 *Bounded size.*  The store is LRU by file mtime (reads touch their
-entry); when the byte budget (``REPRO_RESULT_STORE_MB``, default 512) is
+entry); when the byte budget (``max_bytes``, default 512 MiB) is
 exceeded after a write, oldest entries are evicted until under budget.
 Eviction tolerates concurrent deleters.
 
 Observability: ``store.get{outcome=hit|miss|corrupt}``, ``store.put``,
-``store.evict`` counters plus ``store.io`` spans on the session passed in
-(or the process-wide one).
+``store.evict`` counters on the session passed in (or the process-wide
+one).
 """
 
 from __future__ import annotations
@@ -50,13 +50,12 @@ import tempfile
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.errors import env_int
 
 __all__ = [
     "STORE_VERSION",
     "RESULT_LOGIC_VERSION",
     "ResultStore",
-    "default_store_bytes",
+    "DEFAULT_STORE_BYTES",
 ]
 
 #: On-disk layout version: entries live under ``<root>/v<STORE_VERSION>``.
@@ -71,9 +70,8 @@ RESULT_LOGIC_VERSION = 1
 _ENTRY_SCHEMA = "repro-result-store-entry-v1"
 
 
-def default_store_bytes() -> int:
-    """The default byte budget (``REPRO_RESULT_STORE_MB``, default 512)."""
-    return env_int("REPRO_RESULT_STORE_MB", 512) * 1024 * 1024
+#: The default byte budget, 512 MiB (``repro serve --store-mb`` sets another).
+DEFAULT_STORE_BYTES = 512 * 1024 * 1024
 
 
 def _payload_sha(payload_bytes: bytes) -> str:
@@ -99,7 +97,7 @@ class ResultStore:
     ):
         self.root = root
         self.dir = os.path.join(root, f"v{STORE_VERSION}")
-        self.max_bytes = default_store_bytes() if max_bytes is None else max_bytes
+        self.max_bytes = DEFAULT_STORE_BYTES if max_bytes is None else max_bytes
         self.logic_version = logic_version
         self._session = session
         self.hits = 0
@@ -127,28 +125,27 @@ class ResultStore:
         """
         session = self._obs()
         path = self._path(digest)
-        with session.tracer.span("store.io", cat="store", op="get"):
-            try:
-                with open(path, "rb") as fh:
-                    raw = fh.read()
-            except OSError:
-                self.misses += 1
-                session.counters.inc("store.get", outcome="miss")
-                return None
-            payload = self._decode(digest, raw)
-            if payload is None:
-                self.corrupt += 1
-                session.counters.inc("store.get", outcome="corrupt")
-                self._remove(path)
-                return None
-            # LRU touch: reads refresh mtime so eviction order tracks use.
-            try:
-                os.utime(path, None)
-            except OSError:
-                pass
-            self.hits += 1
-            session.counters.inc("store.get", outcome="hit")
-            return payload
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError:
+            self.misses += 1
+            session.counters.inc("store.get", outcome="miss")
+            return None
+        payload = self._decode(digest, raw)
+        if payload is None:
+            self.corrupt += 1
+            session.counters.inc("store.get", outcome="corrupt")
+            self._remove(path)
+            return None
+        # LRU touch: reads refresh mtime so eviction order tracks use.
+        try:
+            os.utime(path, None)
+        except OSError:
+            pass
+        self.hits += 1
+        session.counters.inc("store.get", outcome="hit")
+        return payload
 
     def _decode(self, digest: str, raw: bytes) -> Optional[dict]:
         """Parse + verify one entry; ``None`` marks it corrupt/stale."""
@@ -203,17 +200,16 @@ class ResultStore:
         data = json.dumps(entry, sort_keys=True, separators=(",", ":")).encode(
             "utf-8"
         )
-        with session.tracer.span("store.io", cat="store", op="put"):
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{digest[:16]}.", suffix=".tmp", dir=self.dir
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                os.replace(tmp, path)
-            except BaseException:
-                self._remove(tmp)
-                raise
+        fd, tmp = tempfile.mkstemp(
+            prefix=f".{digest[:16]}.", suffix=".tmp", dir=self.dir
+        )
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            self._remove(tmp)
+            raise
         self.puts += 1
         session.counters.inc("store.put")
         self._evict(session)

@@ -17,6 +17,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
+from repro.errors import SimulationError
 from repro.kir.expr import BX, BY, M, TX, TY, Var
 from repro.kir.kernel import AccessMode, GlobalAccess
 from repro.kir.program import KernelLaunch
@@ -135,6 +136,9 @@ class _LaunchTracer:
         :class:`TraceCtx` holds id columns and rows.  Returns ``(sectors,
         counts)`` where ``sectors`` concatenates each TB's sorted unique
         sector ids in TB order and ``counts[tb]`` is each TB's contribution.
+        An empty provider result requests nothing, as on the legacy walk;
+        any other result that does not broadcast to ``(ntb, threads)``
+        raises :class:`~repro.errors.SimulationError`.
         """
         launch = self.launch
         ntb = launch.num_threadblocks
@@ -149,9 +153,18 @@ class _LaunchTracer:
             env = dict(self._base_env)
             env.update({TX: tx, TY: ty, BX: bx, BY: by, M: m})
             elements = site.index.evaluate_vectorized(env)
-        elements = np.broadcast_to(
-            np.asarray(elements, dtype=np.int64), (ntb, self._tx.size)
-        )
+        elements = np.asarray(elements, dtype=np.int64)
+        if elements.size == 0:
+            return elements.reshape(0), np.zeros(ntb, dtype=np.int64)
+        try:
+            elements = np.broadcast_to(elements, (ntb, self._tx.size))
+        except ValueError:
+            raise SimulationError(
+                f"kernel {launch.kernel.name!r} site "
+                f"{launch.kernel.accesses.index(site)} ({site.array}): elements "
+                f"of shape {elements.shape} do not broadcast to (threadblocks, "
+                f"threads) = {(ntb, self._tx.size)}"
+            ) from None
         alloc_name = launch.args[site.array]
         addresses = self.space.element_addresses(alloc_name, elements.reshape(-1))
         sectors = (addresses // self.sector_bytes).reshape(ntb, -1)

@@ -39,10 +39,9 @@ __all__ = ["ObsSession", "current", "enable", "disable", "install"]
 
 class ObsSession:
     """One tracer, one counter registry and one metrics registry -- enabled
-    or inert together.  ``metrics`` holds the streaming instruments
-    (sliding-window latency histograms, gauges, rate meters) the serving
-    layer records into; like the others its disabled path is one attribute
-    check."""
+    or inert together.  ``metrics`` holds the streaming latency histograms
+    (cumulative + sliding window) the serving layer records into; like the
+    others its disabled path is one attribute check."""
 
     def __init__(self, enabled: bool = True, epoch_ns: Optional[int] = None):
         self.enabled = enabled

@@ -1,11 +1,13 @@
-"""Streaming metrics: log-bucketed histograms, sliding windows, gauges, rates.
+"""Streaming metrics: log-bucketed histograms over a total and a window.
 
 Where :mod:`repro.obs.counters` answers "how many", this module answers
 "how fast, lately".  The primitives are built for a *serving* process --
 ``repro serve`` records one latency observation per answered query on its
-hot path -- so recording is lock-cheap (one small lock per instrument,
-held for a dict increment) and a disabled registry returns after a single
-attribute check, matching the counter registry's zero-cost contract.
+hot path, and that one record is the answer's whole telemetry: tier
+counts, rates and SLO burn all read it back -- so recording is lock-cheap
+(one small lock per instrument, held for a dict increment) and a disabled
+registry returns after a single attribute check, matching the counter
+registry's zero-cost contract.
 
 Three primitives:
 
@@ -14,19 +16,19 @@ Three primitives:
   quantile read returns the upper edge of the bucket holding the ranked
   sample, so it is within one bucket width of the exact sample quantile
   (the property test in ``tests/obs/test_metrics.py`` pins the bound).
-  Snapshots are plain JSON-safe dicts; :func:`merge_histogram` folds two
-  snapshots and equals recording the concatenated streams exactly --
+  Snapshots are plain JSON-safe dicts; :meth:`LogHistogram.merge` folds a
+  snapshot in and equals recording the concatenated streams exactly --
   bucket counts are integers, no interpolation anywhere.
 * :class:`WindowedHistogram` -- a ring of ``slices`` per-slice histograms
   covering ``window_s`` seconds.  Expiry is deterministic in the injected
   ``clock`` (slice index = ``now // slice_width``), so tests drive it with
-  a fake clock and never sleep.
-* :class:`MetricsRegistry` -- named instruments with canonical
+  a fake clock and never sleep.  Its count over ``window_s`` is the
+  instrument's recent event rate.
+* :class:`MetricsRegistry` -- named histograms with canonical
   ``name{label=value}`` keys (shared with the counter registry).  Each
-  histogram instrument keeps a *total* (cumulative, reconciles exactly
-  with counters at shutdown) and a *window* (recent, feeds SLO burn rates
-  and ``repro top``).  ``snapshot()``/``merge()`` mirror the counter
-  registry so worker processes can ship metric buffers home.
+  key keeps a *total* (cumulative: its count is the number of events
+  ever recorded) and a *window* (recent: feeds rates, SLO burn rates and
+  ``repro top``).
 
 Catalogue of metric names lives in ``docs/observability.md``.
 """
@@ -44,10 +46,7 @@ __all__ = [
     "DEFAULT_GROWTH",
     "LogHistogram",
     "WindowedHistogram",
-    "Gauge",
-    "RateMeter",
     "MetricsRegistry",
-    "merge_histogram",
     "histogram_quantile",
     "fraction_above",
     "summarize_histogram",
@@ -142,14 +141,6 @@ class LogHistogram:
 # ----------------------------------------------------------------------
 # Snapshot-level operations (work on plain dicts, no live instrument)
 # ----------------------------------------------------------------------
-def merge_histogram(a: Dict, b: Dict) -> Dict:
-    """Merge two snapshots; equals recording the concatenated streams."""
-    out = LogHistogram(growth=a.get("growth", DEFAULT_GROWTH))
-    out.merge(a)
-    out.merge(b)
-    return out.snapshot()
-
-
 def histogram_quantile(snap: Dict, p: float) -> float:
     """The ``p``-quantile estimate: upper edge of the ranked sample's bucket.
 
@@ -303,72 +294,15 @@ class WindowedHistogram:
         return out.snapshot()
 
 
-class Gauge:
-    """A last-value instrument (occupancy, queue depth, entry counts)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-
-class RateMeter:
-    """Events per second over a sliding window (same slicing as histograms)."""
-
-    __slots__ = ("window_s", "slices", "_clock", "_ring", "_lock")
-
-    def __init__(
-        self,
-        window_s: float = 60.0,
-        slices: int = 6,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.window_s = float(window_s)
-        self.slices = int(slices)
-        self._clock = clock
-        self._ring: List[Optional[Tuple[int, int]]] = [None] * self.slices
-        self._lock = threading.Lock()
-
-    @property
-    def slice_width(self) -> float:
-        return self.window_s / self.slices
-
-    def mark(self, n: int = 1) -> None:
-        idx = int(self._clock() / self.slice_width)
-        pos = idx % self.slices
-        with self._lock:
-            slot = self._ring[pos]
-            if slot is None or slot[0] != idx:
-                self._ring[pos] = (idx, int(n))
-            else:
-                self._ring[pos] = (idx, slot[1] + int(n))
-
-    def rate(self) -> float:
-        """Events/second over the covered part of the window."""
-        idx = int(self._clock() / self.slice_width)
-        with self._lock:
-            live = [
-                s for s in self._ring if s is not None and idx - s[0] < self.slices
-            ]
-        if not live:
-            return 0.0
-        events = sum(c for _, c in live)
-        return events / self.window_s
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 class MetricsRegistry:
-    """Named histograms/gauges/rates with canonical counter-style keys.
+    """Named histograms with canonical counter-style keys.
 
-    Each histogram key owns a cumulative *total* (never expires -- at
-    shutdown its ``count`` reconciles exactly with the matching counters)
-    and a sliding *window* (feeds live views and SLO burn rates).  The
-    disabled path is one attribute check, mirroring
+    Each key owns a cumulative *total* (never expires) and a sliding
+    *window* (feeds live views, rates and SLO burn rates).  The disabled
+    path is one attribute check, mirroring
     :class:`~repro.obs.counters.CounterRegistry`.
     """
 
@@ -386,8 +320,6 @@ class MetricsRegistry:
         self.growth = growth
         self._clock = clock
         self._hists: Dict[str, Tuple[LogHistogram, WindowedHistogram]] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._rates: Dict[str, RateMeter] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -417,52 +349,11 @@ class MetricsRegistry:
         total.record(value)
         window.record(value)
 
-    def set_gauge(self, name: str, value: float, **labels) -> None:
-        if not self.enabled:
-            return
-        key = counter_key(name, **labels)
-        gauge = self._gauges.get(key)
-        if gauge is None:
-            with self._lock:
-                gauge = self._gauges.setdefault(key, Gauge())
-        gauge.set(value)
-
-    def mark(self, name: str, n: int = 1, **labels) -> None:
-        """Count an event toward a windowed rate meter."""
-        if not self.enabled:
-            return
-        key = counter_key(name, **labels)
-        meter = self._rates.get(key)
-        if meter is None:
-            with self._lock:
-                meter = self._rates.setdefault(
-                    key,
-                    RateMeter(
-                        window_s=self.window_s,
-                        slices=self.slices,
-                        clock=self._clock,
-                    ),
-                )
-        meter.mark(n)
-
     # ------------------------------------------------------------------
-    def window_snapshot(self, name: str, **labels) -> Dict:
-        """The sliding-window histogram snapshot of one instrument."""
-        key = counter_key(name, **labels)
-        pair = self._hists.get(key)
-        return pair[1].snapshot() if pair else LogHistogram(self.growth).snapshot()
-
-    def total_snapshot(self, name: str, **labels) -> Dict:
-        key = counter_key(name, **labels)
-        pair = self._hists.get(key)
-        return pair[0].snapshot() if pair else LogHistogram(self.growth).snapshot()
-
     def snapshot(self) -> Dict:
         """The full JSON-safe registry state (totals + live windows)."""
         with self._lock:
             hist_keys = list(self._hists)
-            gauge_items = {k: g.value for k, g in self._gauges.items()}
-            rate_keys = list(self._rates)
         return {
             "window_s": self.window_s,
             "histograms": {
@@ -472,24 +363,8 @@ class MetricsRegistry:
                 }
                 for k in sorted(hist_keys)
             },
-            "gauges": dict(sorted(gauge_items.items())),
-            "rates": {k: self._rates[k].rate() for k in sorted(rate_keys)},
         }
-
-    def merge(self, snapshot: Dict) -> None:
-        """Fold a shipped snapshot's *totals* in (windows are local time)."""
-        if not self.enabled:
-            return
-        for key, doc in snapshot.get("histograms", {}).items():
-            total, _ = self._histogram(key)
-            total.merge(doc.get("total", doc))
-        for key, value in snapshot.get("gauges", {}).items():
-            gauge = self._gauges.get(key)
-            if gauge is None:
-                with self._lock:
-                    gauge = self._gauges.setdefault(key, Gauge())
-            gauge.set(value)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._hists) + len(self._gauges) + len(self._rates)
+            return len(self._hists)

@@ -69,9 +69,7 @@ def render_stats(stats: Dict, endpoint: str = "") -> str:
     lines.append(line)
     for spec in slo.get("specs", []):
         burn = spec.get("burn")
-        burn_s = "inf" if spec.get("burn_infinite") else (
-            f"{burn:.2f}" if burn is not None else "-"
-        )
+        burn_s = f"{burn:.2f}" if burn is not None else "-"
         lines.append(
             f"  slo {_STATE_MARK.get(spec.get('state'), '?'):<4} "
             f"{spec.get('name', '?'):<28} burn={burn_s:<6} {spec.get('detail', '')}"

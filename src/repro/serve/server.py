@@ -28,22 +28,24 @@ Answer path (the tiered cache; see ``docs/serving.md``):
    a fork process pool, where they share a trace cache and walk memo
    exactly like one ``run_matrix`` worker.
 
-Every tier decision lands in the server's own (always-enabled) obs session
-as ``serve.*`` / ``store.*`` counters, exported by the ``stats`` op and by
+Server events land in the server's own (always-enabled) obs session as
+``serve.*`` / ``store.*`` counters, exported by the ``stats`` op and by
 ``repro serve --counters FILE`` on shutdown.
 
-**Live telemetry** (see ``docs/observability.md``): every answer records
-into ``serve.latency{tier=...}`` -- a cumulative histogram that reconciles
-exactly with the ``serve.tier`` counters at shutdown, plus a sliding
-window feeding SLO burn rates (:mod:`repro.obs.slo`).  The ``stats`` op
-returns per-tier latency summaries and the SLO state; ``health`` is the
-cheap probe variant.  With ``--trace-sample N`` every Nth query gets a
-request-scoped **trace id** threaded through the tier walk and into the
-pool worker that computes it; workers ship their span buffers back
-re-parented under the dispatching server span, so ``--trace FILE`` (or
-the ``trace`` op) yields one connected cross-process Perfetto tree per
-sampled query.  ``--telemetry-every S`` emits a structured JSON line of
-the same state on a timer (``repro top`` renders it live over ``stats``).
+**Live telemetry** (see ``docs/observability.md``): every answer is
+recorded once, into ``serve.latency{tier=...}`` -- a cumulative histogram
+whose counts are the per-tier answer counts, plus a sliding window whose
+counts give the per-tier rates and feed SLO burn rates
+(:mod:`repro.obs.slo`).  The ``stats`` op returns per-tier latency
+summaries and the SLO state; ``health`` is the cheap probe variant.  With
+``--trace-sample N`` every Nth query gets a request-scoped **trace id**
+threaded through the tier walk and into the pool worker that computes it;
+workers ship their span buffers back re-parented under the dispatching
+server span, so ``--trace FILE`` (or the ``trace`` op) yields one
+connected cross-process Perfetto tree per sampled query.  Unsampled
+queries record no spans at all.  ``--telemetry-every S`` emits a
+structured JSON line of the same state on a timer (``repro top`` renders
+it live over ``stats``).
 """
 
 from __future__ import annotations
@@ -62,10 +64,9 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.engine.result_store import ResultStore
 from repro.engine.resultio import run_to_doc
-from repro.errors import env_int
 from repro.obs import slo as obs_slo
 from repro.obs.metrics import summarize_histogram
-from repro.obs.tracer import trace_context
+from repro.obs.tracer import SpanTracer, current_trace_id, trace_context
 from repro.serve.query import Query, batch_digest, execute_query, query_digest
 
 __all__ = ["QueryServer", "ServerThread", "validate_stats", "main"]
@@ -74,6 +75,9 @@ TELEMETRY_SCHEMA = "repro-serve-telemetry-v1"
 
 #: The four answer tiers, in probe order.
 TIERS = ("memory", "dedup", "store", "computed")
+
+#: The tracer of unsampled work: every span is the shared no-op.
+_UNTRACED = SpanTracer(enabled=False)
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +180,7 @@ class QueryServer:
         store_dir: Optional[str] = None,
         store_max_bytes: Optional[int] = None,
         batch_window_s: float = 0.005,
-        memory_entries: Optional[int] = None,
+        memory_entries: int = 512,
         trace_sample: int = 0,
         slo_specs: Optional[List[obs_slo.SLOSpec]] = None,
         telemetry_every_s: float = 0.0,
@@ -201,8 +205,6 @@ class QueryServer:
             else None
         )
         self._memory: "OrderedDict[str, Dict]" = OrderedDict()
-        if memory_entries is None:
-            memory_entries = env_int("REPRO_SERVE_CACHE_ENTRIES", 512)
         self._memory_entries = memory_entries
         self._inflight: Dict[str, asyncio.Future] = {}
         self._pending: Dict[str, List[_PendingItem]] = {}
@@ -324,10 +326,6 @@ class QueryServer:
         rid = request.get("id")
         op = request.get("op")
         self.session.counters.inc("serve.requests", op=str(op))
-        # Each request line is its own asyncio task: give it a private span
-        # stack and a virtual track so interleaved queries nest correctly.
-        self._track_seq += 1
-        self.session.tracer.begin_task(track=self._track_seq)
         try:
             if op == "ping":
                 response = {"id": rid, "ok": True, "pong": True}
@@ -376,15 +374,14 @@ class QueryServer:
         if self.trace_sample > 0 and (self._qseq - 1) % self.trace_sample == 0:
             trace_id = f"q{self._qseq}-{digest[:10]}"
             self.session.counters.inc("serve.trace.sampled")
+        tracer = self._task_tracer(trace_id is not None)
         with trace_context(trace_id):
-            with self.session.tracer.span(
+            with tracer.span(
                 "serve.query", cat="serve", program=query.program_name, digest=digest
             ):
-                tier, result = await self._resolve(query, digest)
+                tier, result = await self._resolve(query, digest, tracer)
         elapsed = time.perf_counter() - t0
-        self.session.counters.inc("serve.tier", tier=tier)
         self.session.metrics.observe("serve.latency", elapsed, tier=tier)
-        self.session.metrics.mark("serve.rate", tier=tier)
         response = {
             "ok": True,
             "digest": digest,
@@ -396,8 +393,22 @@ class QueryServer:
             response["trace_id"] = trace_id
         return response
 
-    async def _resolve(self, query: Query, digest: str) -> Tuple[str, Dict]:
-        tracer = self.session.tracer
+    def _task_tracer(self, sampled: bool) -> SpanTracer:
+        """The tracer for one asyncio task (a query or a batch flush).
+
+        Sampled work gets the session tracer with a fresh span stack and
+        its own virtual track, so interleaved tasks nest correctly; other
+        work gets the no-op tracer and leaves nothing behind.
+        """
+        if not sampled:
+            return _UNTRACED
+        self._track_seq += 1
+        self.session.tracer.begin_task(track=self._track_seq)
+        return self.session.tracer
+
+    async def _resolve(
+        self, query: Query, digest: str, tracer: SpanTracer
+    ) -> Tuple[str, Dict]:
         # Tier 1: in-process memory LRU.
         with tracer.span("serve.memory", cat="serve"):
             cached = self._memory.get(digest)
@@ -428,7 +439,7 @@ class QueryServer:
                     return "store", payload
 
             # Tier 4: compute (micro-batched per compatible program group).
-            payload = await self._enqueue_compute(query, digest, future)
+            payload = await self._enqueue_compute(query, digest, future, tracer)
             return "computed", payload
         except BaseException as exc:
             if not future.done():
@@ -440,13 +451,11 @@ class QueryServer:
             self._inflight.pop(digest, None)
 
     async def _enqueue_compute(
-        self, query: Query, digest: str, future: asyncio.Future
+        self, query: Query, digest: str, future: asyncio.Future, tracer: SpanTracer
     ) -> Dict:
-        from repro.obs.tracer import current_trace_id
-
         group = batch_digest(query)
         items = self._pending.setdefault(group, [])
-        with self.session.tracer.span("serve.compute", cat="serve"):
+        with tracer.span("serve.compute", cat="serve"):
             trace = None
             trace_id = current_trace_id()
             if trace_id is not None:
@@ -454,7 +463,7 @@ class QueryServer:
                 # serve.compute span: its path is the current stack top.
                 trace = {
                     "trace_id": trace_id,
-                    "parent_path": list(self.session.tracer.current_path()),
+                    "parent_path": list(tracer.current_path()),
                 }
             items.append(_PendingItem(digest, query.to_doc(), future, trace))
             if len(items) == 1:
@@ -473,12 +482,12 @@ class QueryServer:
         # The flush task inherits some request's context: detach the span
         # stack AND the trace id so the batch span roots its own untagged
         # track instead of injecting a second root into that request's
-        # sampled trace (per-item ids travel in the batch payload).
-        self._track_seq += 1
-        self.session.tracer.begin_task(track=self._track_seq)
+        # sampled trace (per-item ids travel in the batch payload).  Only
+        # a batch carrying a sampled item records its span.
+        tracer = self._task_tracer(any(it.trace for it in items))
         epoch = self.session.tracer.epoch_ns
         try:
-            with trace_context(None), self.session.tracer.span(
+            with trace_context(None), tracer.span(
                 "serve.batch.run", cat="serve", queries=len(batch)
             ):
                 if self._pool is not None:
@@ -528,68 +537,69 @@ class QueryServer:
             self._memory.popitem(last=False)
 
     # ------------------------------------------------------------------
-    def describe(self) -> Dict:
-        """The ``stats`` op payload: counters, latency histograms, SLO state.
-
-        ``latency`` carries per-tier summaries of both the cumulative
-        histogram (``total`` -- its counts reconcile exactly with the
-        ``serve.tier`` counters) and the sliding window (``window`` --
-        what the SLO burn rates are computed over).  ``metrics`` is the
-        raw registry snapshot for tooling that wants the buckets.
-        """
-        counters = self.session.counters.snapshot()
-        tiers = {
-            t: counters.get(f"serve.tier{{tier={t}}}", 0) for t in TIERS
-        }
+    def _tier_summary(self, metrics: Dict) -> Dict:
+        """Per-tier answer counts (the cumulative latency-histogram counts)
+        and the hit and dedup ratios derived from them."""
+        tiers = {}
+        for tier in TIERS:
+            doc = metrics["histograms"].get(f"serve.latency{{tier={tier}}}")
+            tiers[tier] = doc["total"]["count"] if doc else 0
         answered = sum(tiers.values())
         computed = tiers["computed"]
-        metrics = self.session.metrics.snapshot()
-        latency = {}
-        for tier in TIERS:
-            key = f"serve.latency{{tier={tier}}}"
-            doc = metrics["histograms"].get(key)
-            if doc is None:
-                continue
-            latency[tier] = {
-                "total": summarize_histogram(doc["total"]),
-                "window": summarize_histogram(doc["window"]),
-            }
-        stats = {
-            "uptime_s": time.monotonic() - self._started if self._started else 0.0,
-            "workers": self.workers,
-            "batch_window_s": self.batch_window_s,
+        return {
             "answered": answered,
             "tiers": tiers,
             "tier_hit_rate": (answered - computed) / answered if answered else 0.0,
             "dedup_ratio": answered / computed if computed else None,
+        }
+
+    def _uptime_s(self) -> float:
+        return time.monotonic() - self._started if self._started else 0.0
+
+    def describe(self) -> Dict:
+        """The ``stats`` op payload: counters, latency histograms, SLO state.
+
+        ``latency`` carries per-tier summaries of both the cumulative
+        histogram (``total`` -- its counts are the ``tiers`` counts) and
+        the sliding window (``window`` -- what the SLO burn rates and
+        ``rates_qps`` are computed over).  ``metrics`` is the raw registry
+        snapshot for tooling that wants the buckets.
+        """
+        metrics = self.session.metrics.snapshot()
+        latency = {}
+        for tier in TIERS:
+            doc = metrics["histograms"].get(f"serve.latency{{tier={tier}}}")
+            if doc is not None:
+                latency[tier] = {
+                    "total": summarize_histogram(doc["total"]),
+                    "window": summarize_histogram(doc["window"]),
+                }
+        # A tier's rate is its window count over the window's length.
+        rates = {
+            f"serve.rate{{tier={tier}}}": latency[tier]["window"]["count"]
+            / metrics["window_s"]
+            for tier in sorted(latency)
+        }
+        return {
+            "uptime_s": self._uptime_s(),
+            "workers": self.workers,
+            "batch_window_s": self.batch_window_s,
+            **self._tier_summary(metrics),
             "memory_entries": len(self._memory),
             "store": self.store.stats() if self.store is not None else None,
-            "counters": counters,
+            "counters": self.session.counters.snapshot(),
             "latency": latency,
-            "rates_qps": metrics["rates"],
+            "rates_qps": rates,
             "metrics": metrics,
+            "slo": obs_slo.evaluate(self.slo_specs, metrics),
         }
-        stats["slo"] = obs_slo.evaluate(self.slo_specs, metrics, stats)
-        return stats
 
     def health(self) -> Dict:
         """The ``health`` op payload: SLO state only, cheap to poll."""
         metrics = self.session.metrics.snapshot()
-        counters = self.session.counters.snapshot()
-        tiers = {t: counters.get(f"serve.tier{{tier={t}}}", 0) for t in TIERS}
-        answered = sum(tiers.values())
-        computed = tiers["computed"]
-        stats = {
-            "tiers": tiers,
-            "tier_hit_rate": (answered - computed) / answered if answered else 0.0,
-            "dedup_ratio": answered / computed if computed else None,
-            "store": self.store.stats() if self.store is not None else None,
-        }
-        doc = obs_slo.evaluate(self.slo_specs, metrics, stats)
-        doc["uptime_s"] = (
-            time.monotonic() - self._started if self._started else 0.0
-        )
-        doc["answered"] = answered
+        doc = obs_slo.evaluate(self.slo_specs, metrics)
+        doc["uptime_s"] = self._uptime_s()
+        doc["answered"] = self._tier_summary(metrics)["answered"]
         return doc
 
     def trace_doc(self, trace_id: Optional[str] = None) -> Dict:
@@ -719,10 +729,8 @@ class ServerThread:
 def validate_stats(doc: Dict) -> List[str]:
     """Schema errors of one ``stats`` op payload ([] when valid).
 
-    Checks structure *and* the reconciliation invariant: each tier's
-    cumulative latency-histogram count must equal its ``serve.tier``
-    counter -- the two are incremented at the same site, so any drift
-    means a recording path was skipped.
+    Checks the top-level fields, the tier keys and every raw histogram
+    snapshot (bucket counts must sum to the count).
     """
     from repro.obs.metrics import validate_histogram
 
@@ -733,7 +741,6 @@ def validate_stats(doc: Dict) -> List[str]:
     tiers = doc.get("tiers")
     if not isinstance(tiers, dict) or set(tiers) != set(TIERS):
         errors.append(f"tiers keys {sorted(tiers or {})} != {sorted(TIERS)}")
-        tiers = {}
     latency = doc.get("latency", {})
     if not isinstance(latency, dict):
         return errors + ["latency not an object"]
@@ -748,16 +755,6 @@ def validate_stats(doc: Dict) -> List[str]:
         for part in ("total", "window"):
             for err in validate_histogram(hdoc.get(part, {})):
                 errors.append(f"metrics[{key}].{part}: {err}")
-    # Reconciliation: cumulative histogram counts == serve.tier counters.
-    for tier, count in tiers.items():
-        key = f"serve.latency{{tier={tier}}}"
-        hdoc = metrics.get("histograms", {}).get(key)
-        hist_count = int(hdoc["total"].get("count", 0)) if hdoc else 0
-        if hist_count != int(count):
-            errors.append(
-                f"latency histogram count {hist_count} != serve.tier "
-                f"counter {count} for tier {tier!r}"
-            )
     slo = doc.get("slo", {})
     if slo.get("state") not in ("ok", "warn", "breach"):
         errors.append(f"slo state {slo.get('state')!r} invalid")

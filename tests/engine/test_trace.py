@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.engine.simulator import simulate
 from repro.engine.trace import launch_tracer, trace_threadblock
-from repro.engine.trace_cache import build_launch_trace
+from repro.engine.trace_cache import TraceCache, build_launch_trace
+from repro.errors import SimulationError
+from repro.experiments.runner import strategy_by_name
 from repro.fuzz.genprog import AccessSpec, KernelSpec, ProgramSpec, build_program
 from repro.kir.expr import BDX, BX, BY, GDX, M, TX, TY, param
 from repro.kir.kernel import (
@@ -18,6 +21,7 @@ from repro.kir.kernel import (
 )
 from repro.kir.program import Program
 from repro.memory.address_space import AddressSpace
+from repro.topology.config import bench_hierarchical
 from repro.workloads.base import TEST
 from repro.workloads.suite import get_workload
 
@@ -231,6 +235,40 @@ class TestProviderBroadcast:
         )
         prog.launch(k, Dim2(3, 2), {"X": "X"})
         assert _provider_sites_match_per_tb(prog) == 2
+
+
+def _one_provider_site_program(provider) -> Program:
+    prog = Program("one-site")
+    prog.malloc_managed("X", 512, 4)
+    k = Kernel(
+        "k", Dim2(8), {"X": 4}, [IndirectAccess("X", data_var("i"), provider)]
+    )
+    prog.launch(k, Dim2(2), {"X": "X"})
+    return prog
+
+
+class TestProviderResultShapes:
+    def test_empty_provider_matches_legacy(self):
+        # An empty provider result requests nothing on either engine.
+        provider = lambda ctx: np.empty(0, dtype=np.int64)  # noqa: E731
+        legacy, vector = (
+            simulate(
+                _one_provider_site_program(provider),
+                strategy_by_name("LADM"),
+                bench_hierarchical(),
+                engine=engine,
+                trace_cache=TraceCache(),
+            )
+            for engine in ("legacy", "vector")
+        )
+        assert legacy.snapshot() == vector.snapshot()
+
+    def test_unbroadcastable_result_names_kernel_and_site(self):
+        prog = _one_provider_site_program(lambda ctx: np.arange(3))
+        tracer = launch_tracer(prog.launches[0], _space(prog))
+        site = prog.launches[0].kernel.accesses[0]
+        with pytest.raises(SimulationError, match=r"kernel 'k' site 0 \(X\)"):
+            tracer.site_sectors_all_tbs(site, 0)
 
 
 def _check_block_layout(launch, space, sector_bytes=32):

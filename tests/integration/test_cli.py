@@ -1,9 +1,5 @@
 """Tests for the command-line interface."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -151,34 +147,19 @@ class TestMalformedEnvInts:
             ("REPRO_TRACE_CACHE_MB", "abc", RUN),
             ("REPRO_TRACE_CACHE_MB", "-1", RUN),
             ("REPRO_WALK_MEMO_ENTRIES", "abc", RUN),
-            ("REPRO_RESULT_STORE_MB", "abc", ["serve", "--port", "0", "--workers", "0", "--store"]),
-            ("REPRO_SERVE_CACHE_ENTRIES", "abc", ["serve", "--port", "0", "--workers", "0"]),
         ],
     )
-    def test_one_line_error(self, name, value, argv, monkeypatch, capsys, tmp_path):
+    def test_one_line_error(self, name, value, argv, monkeypatch, capsys):
         # The process-wide caches read their knob on first construction.
         monkeypatch.setattr(trace_cache, "_DEFAULT_CACHE", None)
         monkeypatch.setattr(walk_memo, "_DEFAULT_MEMO", None)
         monkeypatch.setenv(name, value)
-        if argv[-1] == "--store":
-            argv = argv + [str(tmp_path / "store")]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert err == f"repro: error: {name}={value!r} is not a non-negative integer\n"
         assert "Traceback" not in out + err
-
-    def test_run_ignores_serve_cache_entries(self):
-        """Only the server reads it, and only when one is constructed."""
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env = dict(os.environ, REPRO_SERVE_CACHE_ENTRIES="abc", PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", *RUN],
-            env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "LADM" in proc.stdout
 
 
 class TestLint:

@@ -2,8 +2,8 @@
 
 Three pinned contracts from ``repro.obs.metrics``:
 
-* **merge equals concatenation** -- ``merge_histogram(snap(a), snap(b))``
-  is exactly the histogram of recording stream ``a + b`` (integer bucket
+* **merge equals concatenation** -- folding ``snap(a)`` and ``snap(b)``
+  into one histogram with :meth:`LogHistogram.merge` gives exactly the histogram of recording stream ``a + b`` (integer bucket
   counts; only the float ``sum`` is compared with tolerance, since float
   addition is not associative);
 * **quantile error bound** -- the bucket-edge quantile estimate ``r``
@@ -21,14 +21,11 @@ from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_GROWTH,
-    Gauge,
     LogHistogram,
     MetricsRegistry,
-    RateMeter,
     WindowedHistogram,
     fraction_above,
     histogram_quantile,
-    merge_histogram,
     summarize_histogram,
     validate_histogram,
 )
@@ -44,6 +41,14 @@ def _record_all(vals, growth=DEFAULT_GROWTH):
     for v in vals:
         h.record(v)
     return h
+
+
+def merge_histogram(a, b):
+    """Fold two snapshots into a fresh histogram; its snapshot."""
+    out = LogHistogram(growth=a.get("growth", DEFAULT_GROWTH))
+    out.merge(a)
+    out.merge(b)
+    return out.snapshot()
 
 
 def _exact_quantile(vals, p):
@@ -199,49 +204,20 @@ class TestWindowExpiry:
 
 
 class TestInstruments:
-    def test_gauge_keeps_last_value(self):
-        g = Gauge()
-        g.set(3.0)
-        g.set(7.5)
-        assert g.value == 7.5
-
-    def test_rate_meter_windowed(self):
-        clock = FakeClock(0.0)
-        m = RateMeter(window_s=60.0, slices=6, clock=clock)
-        for _ in range(120):
-            m.mark()
-        assert m.rate() == 120 / 60.0
-        clock.now = 120.0  # far past the window
-        assert m.rate() == 0.0
-
     def test_registry_records_and_snapshots(self):
         clock = FakeClock(0.0)
         reg = MetricsRegistry(enabled=True, clock=clock)
         for v in (0.1, 0.2, 0.4):
             reg.observe("serve.latency", v, tier="computed")
-        reg.set_gauge("serve.memory.entries", 11)
-        reg.mark("serve.rate", tier="computed")
         snap = reg.snapshot()
         key = "serve.latency{tier=computed}"
         assert snap["histograms"][key]["total"]["count"] == 3
         assert snap["histograms"][key]["window"]["count"] == 3
-        assert snap["gauges"]["serve.memory.entries"] == 11
-        assert snap["rates"]["serve.rate{tier=computed}"] > 0
         assert validate_histogram(snap["histograms"][key]["total"]) == []
-
-    def test_registry_merge_folds_totals_only(self):
-        a = MetricsRegistry(enabled=True)
-        b = MetricsRegistry(enabled=True)
-        a.observe("m", 1.0)
-        b.observe("m", 2.0)
-        a.merge(b.snapshot())
-        assert a.total_snapshot("m")["count"] == 2
 
     def test_disabled_registry_records_nothing(self):
         reg = MetricsRegistry(enabled=False)
         reg.observe("m", 1.0)
-        reg.set_gauge("g", 1.0)
-        reg.mark("r")
         assert len(reg) == 0
 
     def test_summary_fields(self):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SLOSpec, default_serve_slos, evaluate, stats_path
+from repro.obs.slo import SLOSpec, default_serve_slos, evaluate
 
 
 def _metrics_with(values, tier="computed"):
@@ -58,67 +58,25 @@ class TestLatencyQuantile:
         assert doc["state"] == "ok"
 
 
-class TestFloorsAndCeilings:
-    FLOOR = SLOSpec(
-        name="dedup", kind="ratio_floor", metric="dedup_ratio", threshold=1.0
-    )
-    CEIL = SLOSpec(
-        name="divergence",
-        kind="value_ceiling",
-        metric="verify.divergence",
-        threshold=0.0,
-    )
-
-    def test_floor_states(self):
-        ok = evaluate([self.FLOOR], stats={"dedup_ratio": 4.4})
-        assert ok["state"] == "ok"
-        assert ok["specs"][0]["burn"] == pytest.approx(1.0 / 4.4)
-        warn = evaluate([self.FLOOR], stats={"dedup_ratio": 0.6})
-        assert warn["state"] == "warn"
-        breach = evaluate([self.FLOOR], stats={"dedup_ratio": 0.1})
-        assert breach["state"] == "breach"
-
-    def test_floor_at_zero_is_infinite_burn(self):
-        doc = evaluate([self.FLOOR], stats={"dedup_ratio": 0.0})
-        spec = doc["specs"][0]
-        assert spec["state"] == "breach"
-        assert spec["burn"] is None and spec["burn_infinite"]
-
-    def test_ceiling_has_no_error_budget(self):
-        ok = evaluate([self.CEIL], stats={"verify": {"divergence": 0}})
-        assert ok["state"] == "ok"
-        breach = evaluate([self.CEIL], stats={"verify": {"divergence": 1}})
-        assert breach["state"] == "breach"
-        assert breach["specs"][0]["burn_infinite"]
-
-    def test_missing_path_is_ok_no_data(self):
-        doc = evaluate([self.FLOOR, self.CEIL], stats={})
-        assert doc["state"] == "ok"
-        assert all(s["detail"] == "no data" for s in doc["specs"])
-
-
 class TestEvaluateDoc:
+    # 30% of samples above 1s: ok under a 10s ceiling, breach under 1s.
+    MIXED = [0.1] * 70 + [5.0] * 30
+    LOOSE = SLOSpec(
+        name="loose",
+        kind="latency_quantile",
+        metric="serve.latency{tier=computed}",
+        threshold=10.0,
+        quantile=0.95,
+    )
+
     def test_overall_state_is_worst(self):
-        doc = evaluate(
-            [P95, self.breaching_floor()],
-            _metrics_with([0.1] * 100),
-            stats={"dedup_ratio": 0.01},
-        )
+        doc = evaluate([self.LOOSE, P95], _metrics_with(self.MIXED))
+        assert [s["state"] for s in doc["specs"]] == ["ok", "breach"]
         assert doc["state"] == "breach"
 
-    @staticmethod
-    def breaching_floor():
-        return SLOSpec(
-            name="f", kind="ratio_floor", metric="dedup_ratio", threshold=1.0
-        )
-
     def test_doc_is_json_serialisable(self):
-        doc = evaluate(
-            [P95, self.breaching_floor()],
-            _metrics_with([9.0] * 10),
-            stats={"dedup_ratio": 0.0},
-        )
-        json.dumps(doc)  # inf burns must have been nulled
+        doc = evaluate([self.LOOSE, P95], _metrics_with(self.MIXED))
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -140,12 +98,3 @@ class TestEvaluateDoc:
         assert any("store" in n for n in names)
         doc = evaluate(specs, _metrics_with([0.1] * 20))
         assert doc["state"] == "ok"
-
-
-class TestStatsPath:
-    def test_nested_lookup(self):
-        doc = {"a": {"b": {"c": 3}}}
-        assert stats_path(doc, "a.b.c") == 3
-        assert stats_path(doc, "a.b.missing") is None
-        assert stats_path(doc, "a.b.c.d") is None
-        assert stats_path(None, "a") is None

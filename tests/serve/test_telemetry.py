@@ -6,16 +6,17 @@ The heavyweight fixture starts one real server (fork-pool worker,
 duplicate-heavy stream through the public protocol; the assertions then
 check the three tentpole invariants:
 
-* the ``stats`` payload schema-validates, including the reconciliation
-  rule (per-tier cumulative histogram count == ``serve.tier`` counter);
+* the ``stats`` payload schema-validates, and its tier counts (read from
+  the cumulative latency histograms) equal the answers the client saw;
 * every sampled query's spans form **one connected tree** under its
   trace id, and computed queries' trees span both the server process and
   the pool worker (pid count > 1);
-* with sampling off nothing is stamped, and the disabled metrics path
-  stays inside the nanosecond guard (see ``tests/obs/test_overhead.py``).
+* with sampling off the server keeps no spans at all, and with sampling
+  on it keeps only the sampled queries' spans.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -26,13 +27,16 @@ from repro.obs.export import (
     validate_trace,
     validate_trace_tree,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.client import ServeClient
 from repro.serve.server import (
     TELEMETRY_SCHEMA,
     TIERS,
+    QueryServer,
     ServerThread,
     validate_stats,
 )
+from tests.obs.test_metrics import FakeClock
 
 
 @pytest.fixture(scope="module")
@@ -55,17 +59,39 @@ class TestStatsContract:
         _, stats, _, _, _ = traced_run
         assert validate_stats(stats) == []
 
-    def test_histograms_reconcile_with_counters(self, traced_run):
-        # The invariant validate_stats enforces, asserted explicitly: the
-        # cumulative latency histogram and the serve.tier counter are
-        # incremented at the same site, so they must agree exactly.
-        _, stats, _, _, _ = traced_run
-        hists = stats["metrics"]["histograms"]
-        for tier in TIERS:
-            counted = stats["tiers"][tier]
-            doc = hists.get(f"serve.latency{{tier={tier}}}")
-            recorded = doc["total"]["count"] if doc else 0
-            assert recorded == counted, tier
+    def test_tiers_count_the_responses(self, traced_run):
+        # Tier counts are read back from the cumulative latency histograms:
+        # they must equal the answers the client saw from each tier.
+        report, stats, _, _, _ = traced_run
+        seen = Counter(r["tier"] for r in report["responses"])
+        assert stats["tiers"] == {tier: seen[tier] for tier in TIERS}
+        assert stats["answered"] == report["queries"]
+
+    def test_rates_are_window_counts_over_window_s(self):
+        clock = FakeClock(0.0)
+        server = QueryServer()
+        server.session.metrics = MetricsRegistry(clock=clock)
+        for tier, n in (("memory", 120), ("computed", 30)):
+            for _ in range(n):
+                server.session.metrics.observe("serve.latency", 0.01, tier=tier)
+        clock.now = 30.0
+        for _ in range(6):
+            server.session.metrics.observe("serve.latency", 0.01, tier="store")
+        assert server.describe()["rates_qps"] == {
+            "serve.rate{tier=computed}": 30 / 60.0,
+            "serve.rate{tier=memory}": 120 / 60.0,
+            "serve.rate{tier=store}": 6 / 60.0,
+        }
+        clock.now = 75.0  # the t=0 slice has left the 60 s window
+        stats = server.describe()
+        assert stats["rates_qps"] == {
+            "serve.rate{tier=computed}": 0.0,
+            "serve.rate{tier=memory}": 0.0,
+            "serve.rate{tier=store}": 6 / 60.0,
+        }
+        assert stats["tiers"] == {
+            "memory": 120, "dedup": 0, "store": 6, "computed": 30,
+        }
 
     def test_latency_sections_present_for_active_tiers(self, traced_run):
         _, stats, _, _, _ = traced_run
@@ -158,6 +184,34 @@ class TestDisabledPath:
         assert all(ev.get("trace_id") is None for ev in events)
         assert validate_stats(stats) == []
         assert stats["counters"].get("serve.trace.sampled", 0) == 0
+
+    def test_unsampled_server_keeps_no_spans(self, tmp_path):
+        # A cold run computes and fills the store; a restarted server then
+        # answers the same stream from the store and the memory tier.
+        stream = generate_stream(4, 6, mix="workloads", smoke=True)
+        for phase in ("cold", "warm"):
+            with ServerThread(workers=0, store_dir=str(tmp_path)) as st:
+                report = run_stream(st.host, st.port, stream, seed=4)
+                assert len(st.server.session.tracer) == 0, phase
+            if phase == "warm":
+                assert report["tiers"]["store"] > 0
+
+    def test_sampled_server_keeps_only_sampled_spans(self):
+        stream = generate_stream(6, 8, mix="workloads", smoke=True)
+        with ServerThread(workers=0, trace_sample=2) as st:
+            report = run_stream(st.host, st.port, stream, seed=6)
+            events = st.server.session.tracer.events()
+        sampled = {r["trace_id"] for r in report["responses"] if "trace_id" in r}
+        assert 0 < len(sampled) < len(stream)
+        assert {ev["trace_id"] for ev in events if "trace_id" in ev} <= sampled
+        workers = [ev for ev in events if ev["name"] == "serve.worker.execute"]
+        untagged = [ev for ev in events if "trace_id" not in ev]
+        assert untagged
+        for ev in untagged:
+            # A batch span, and the batch ran at least one sampled query.
+            assert ev["name"] == "serve.batch.run"
+            start, end = ev["ts_ns"], ev["ts_ns"] + ev["dur_ns"]
+            assert any(start <= w["ts_ns"] <= end for w in workers)
 
 
 class TestTelemetryDoc:
